@@ -133,7 +133,7 @@ int Run() {
 
     // What the planner would pick at the fixed budget — the cutover the
     // sweep exists to exercise.
-    VtJoinOptions plan_options;
+    ExecOptions plan_options;
     plan_options.buffer_pages = kBudgetPages;
     plan_options.cost_model = model;
     const JoinPlan plan = PlanVtJoin(r, s, plan_options);
@@ -181,7 +181,7 @@ int Run() {
 
     table.AddRow({FormatWithCommas(static_cast<int64_t>(n)),
                   std::to_string(r->num_pages()),
-                  JoinAlgorithmName(plan.algorithm),
+                  JoinExecutorName(plan.algorithm),
                   Fmt(radix.stats.Get(Metric::kRadixBuckets)),
                   Fmt(radix.stats.Get(Metric::kRadixPasses)),
                   Fmt2(paged.probe_wall_seconds * 1e3),

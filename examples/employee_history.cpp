@@ -6,14 +6,15 @@
 // employee id: one for salary history, one for position history. This
 // example rebuilds the combined history with the valid-time natural join,
 // asks point-in-time questions with the timeslice operator, coalesces
-// redundant history, and uses the TE-outerjoin to find stretches where an
-// employee drew a salary without an assigned position.
+// redundant history, and uses the TE-outerjoin (the sequenced left-outer
+// join) to find stretches where an employee drew a salary without an
+// assigned position.
 
 #include <cstdio>
 
 #include "algebra/operators.h"
-#include "algebra/temporal_joins.h"
 #include "core/partition_join.h"
+#include "service/join_request.h"
 #include "storage/disk.h"
 #include "storage/stored_relation.h"
 
@@ -85,13 +86,17 @@ int main() {
   Print("salary history, coalesced:", Coalesce(*salary_tuples));
 
   // --- TE-outerjoin: salaried time without a position. -----------------
-  auto position_tuples = positions.ReadAll();
-  TEMPO_CHECK(position_tuples.ok());
-  auto outer = TEOuterJoin(salary_schema, *salary_tuples, position_schema,
-                           *position_tuples);
-  TEMPO_CHECK(outer.ok());
+  StoredRelation outer(&disk, layout->output, "outer");
+  JoinRequest request;
+  request.From(&salaries, &positions)
+      .Using(JoinExecutor::kPartition)
+      .Kind(JoinKind::kLeftOuter)
+      .BufferPages(64);
+  TEMPO_CHECK(RunJoin(request, &outer).ok());
+  auto outer_tuples = outer.ReadAll();
+  TEMPO_CHECK(outer_tuples.ok());
   std::vector<Tuple> unassigned;
-  for (const Tuple& t : outer->second) {
+  for (const Tuple& t : *outer_tuples) {
     if (t.value(2).is_null()) unassigned.push_back(t);
   }
   Print("salaried but unassigned (title NULL):", unassigned);

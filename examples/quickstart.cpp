@@ -104,7 +104,7 @@ int main() {
     return 1;
   }
   std::printf("\nEXPLAIN ANALYZE (planner picked %s):\n%s",
-              JoinAlgorithmName(static_cast<JoinAlgorithm>(
+              JoinExecutorName(static_cast<JoinExecutor>(
                   static_cast<int>(planned->Get(Metric::kPlannedAlgorithm)))),
               ExplainAnalyze(ctx).c_str());
   return 0;

@@ -609,7 +609,6 @@ StatusOr<JoinRunStats> RunPartitionPass(StoredRelation* r, StoredRelation* s,
     return Status::InvalidArgument(
         "partition join needs at least 4 buffer pages");
   }
-  TEMPO_RETURN_IF_ERROR(RequireSharedChrononPredicate(options, "partition"));
   Disk* disk = r->disk();
   IoAccountant& acct = disk->accountant();
   if (ctx != nullptr && ctx->accountant() == nullptr) {
@@ -794,6 +793,7 @@ StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
                                        StoredRelation* out,
                                        const PartitionJoinOptions& options,
                                        ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(ValidateExecOptions(JoinExecutor::kPartition, options));
   if (options.join_kind == JoinKind::kInner) {
     TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
     return RunPartitionPass(r, s, out, layout, options, ctx, nullptr);
@@ -801,12 +801,8 @@ StatusOr<JoinRunStats> PartitionVtJoin(StoredRelation* r, StoredRelation* s,
 
   // Sequenced outer/anti variant. The uncovered-subinterval arithmetic
   // assumes every key-matching overlap is observed exactly once, which the
-  // dedup rule guarantees only under last-overlap placement and the plain
-  // overlap predicate.
-  if (!options.predicate.IsOverlapDefault()) {
-    return Status::InvalidArgument(
-        "outer/anti join variants require the overlap predicate");
-  }
+  // dedup rule guarantees only under last-overlap placement (and the plain
+  // overlap predicate, which ValidateExecOptions requires).
   if (options.placement != PlacementPolicy::kLastOverlap) {
     return Status::InvalidArgument(
         "outer/anti join variants require last-overlap placement");

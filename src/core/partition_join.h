@@ -12,7 +12,7 @@ namespace tempo {
 /// knobs (buffer_pages — Figure 3's buffSize pages of outer partition
 /// area plus one page each for the inner buffer, tuple cache and result —
 /// cost_model, seed) live in the ExecOptions base; callers
-/// holding a VtJoinOptions transfer them with one slice-assignment:
+/// holding an ExecOptions transfer them with one slice-assignment:
 ///   PartitionJoinOptions part;
 ///   static_cast<ExecOptions&>(part) = options;
 struct PartitionJoinOptions : ExecOptions {
@@ -28,8 +28,8 @@ struct PartitionJoinOptions : ExecOptions {
   // The timestamp predicate lives in the ExecOptions base (`predicate`, a
   // TemporalPredicate). The partition machinery serves any predicate whose
   // relations all imply a shared chronon — matching pairs necessarily meet
-  // in the partition holding their overlap's end (Section 4.1) — and
-  // rejects the rest (RequireSharedChrononPredicate).
+  // in the partition holding their overlap's end (Section 4.1);
+  // ValidateExecOptions rejects the rest.
 
   /// In-memory pages reserved for the tuple cache (Figure 3 reserves one).
   /// Raising this trades outer-partition area for cache space, the

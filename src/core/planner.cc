@@ -5,27 +5,13 @@
 #include <limits>
 
 #include "core/radix_join.h"
+#include "join/indexed_join.h"
 #include "join/nested_loop_join.h"
+#include "join/reference_join.h"
 #include "join/sort_merge_join.h"
 #include "join/sweep_join.h"
 
 namespace tempo {
-
-const char* JoinAlgorithmName(JoinAlgorithm a) {
-  switch (a) {
-    case JoinAlgorithm::kNestedLoop:
-      return "nested-loops";
-    case JoinAlgorithm::kSortMerge:
-      return "sort-merge";
-    case JoinAlgorithm::kPartition:
-      return "partition";
-    case JoinAlgorithm::kInMemoryRadix:
-      return "in-memory-radix";
-    case JoinAlgorithm::kSweep:
-      return "sweep";
-  }
-  return "?";
-}
 
 double EstimateNestedLoopCost(uint32_t pages_r, uint32_t pages_s,
                               uint32_t buffer_pages, const CostModel& model) {
@@ -108,145 +94,152 @@ double EstimateSweepJoinCost(uint32_t pages_r, uint32_t pages_s,
   return EstimateSortMergeCost(pages_r, pages_s, buffer_pages, model);
 }
 
-JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
-                    const VtJoinOptions& options) {
-  const uint32_t pr = r->num_pages();
-  const uint32_t ps = s->num_pages();
-  const uint32_t b = options.buffer_pages;
-  const CostModel& m = options.cost_model;
-  const TemporalPredicate& pred = options.predicate;
-  // Overlap-driven executors only see pairs that meet in a partition /
-  // active window, so they can serve exactly the predicates whose
-  // relations all share a chronon. The sweep additionally serves the
-  // adjacency relations (meets/met-by) and is the only executor that does.
-  const bool overlap_family = pred.ImpliesSharedChronon();
-  const bool sweep_eligible = !pred.HasDisjointNonAdjacent();
-  const std::string pred_rationale =
-      "ineligible: predicate '" + pred.Name() +
-      "' needs the adjacency-aware sweep executor";
+namespace {
 
-  JoinPlan plan;
-  // The radix candidate goes first: at equal estimated I/O (it ties
-  // nested-loops and the in-memory partition path when everything fits),
-  // stable_sort keeps it ahead — flat columnar probing beats the
-  // tuple-at-a-time paths on CPU, which the I/O cost model cannot see.
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+JoinEstimate EstimateRadixRow(uint32_t pr, uint32_t ps,
+                              const ExecOptions& options) {
   const uint64_t budget = ResolveRadixBudgetBytes(options);
   const uint64_t footprint = EstimateRadixFootprintBytes(pr, ps);
-  if (!overlap_family) {
-    plan.candidates.push_back({JoinAlgorithm::kInMemoryRadix,
-                               std::numeric_limits<double>::infinity(),
-                               pred_rationale});
-  } else if (footprint <= budget) {
-    plan.candidates.push_back(
-        {JoinAlgorithm::kInMemoryRadix, EstimateRadixJoinCost(pr, ps, m),
-         "columnar in-memory radix; est footprint " +
-             std::to_string(footprint) + " B <= budget " +
-             std::to_string(budget) + " B"});
-  } else {
-    plan.candidates.push_back(
-        {JoinAlgorithm::kInMemoryRadix,
-         std::numeric_limits<double>::infinity(),
-         "ineligible: est footprint " + std::to_string(footprint) +
-             " B exceeds budget " + std::to_string(budget) + " B"});
+  if (footprint > budget) {
+    return {JoinExecutor::kInMemoryRadix, kInfinity,
+            "ineligible: est footprint " + std::to_string(footprint) +
+                " B exceeds budget " + std::to_string(budget) + " B"};
   }
-  if (overlap_family) {
-    plan.candidates.push_back(
-        {JoinAlgorithm::kNestedLoop, EstimateNestedLoopCost(pr, ps, b, m),
-         "blocks(r) x scan(s); exact closed form"});
-    plan.candidates.push_back(
-        {JoinAlgorithm::kSortMerge, EstimateSortMergeCost(pr, ps, b, m),
-         "sort both + co-scan; back-up not modelled"});
-    plan.candidates.push_back(
-        {JoinAlgorithm::kPartition, EstimatePartitionJoinCost(pr, ps, b, m),
-         "sample + Grace partition both + join scan; cache not modelled"});
-  } else {
-    plan.candidates.push_back({JoinAlgorithm::kNestedLoop,
-                               std::numeric_limits<double>::infinity(),
-                               pred_rationale});
-    plan.candidates.push_back({JoinAlgorithm::kSortMerge,
-                               std::numeric_limits<double>::infinity(),
-                               pred_rationale});
-    plan.candidates.push_back({JoinAlgorithm::kPartition,
-                               std::numeric_limits<double>::infinity(),
-                               pred_rationale});
-  }
-  // The sweep is listed after sort-merge, whose estimated I/O it ties:
-  // under the default predicate stable_sort preserves every established
-  // pick, while a meets/during/starts/... predicate leaves the sweep as
-  // the only finite candidate.
-  plan.candidates.push_back(
-      {JoinAlgorithm::kSweep,
-       sweep_eligible ? EstimateSweepJoinCost(pr, ps, b, m)
-                      : std::numeric_limits<double>::infinity(),
-       sweep_eligible
-           ? "sort both + one sweep; active maps are in-memory"
-           : "ineligible: predicate '" + pred.Name() +
-                 "' contains before/after (reference oracle only)"});
-  std::stable_sort(plan.candidates.begin(), plan.candidates.end(),
-                   [](const JoinEstimate& a, const JoinEstimate& b2) {
-                     return a.estimated_cost < b2.estimated_cost;
-                   });
-  plan.algorithm = plan.candidates.front().algorithm;
-  return plan;
+  return {JoinExecutor::kInMemoryRadix,
+          EstimateRadixJoinCost(pr, ps, options.cost_model),
+          "columnar in-memory radix; est footprint " +
+              std::to_string(footprint) + " B <= budget " +
+              std::to_string(budget) + " B"};
 }
 
-StatusOr<JoinRunStats> ExecuteVtJoin(StoredRelation* r, StoredRelation* s,
+JoinEstimate EstimateNestedLoopRow(uint32_t pr, uint32_t ps,
+                                   const ExecOptions& options) {
+  return {JoinExecutor::kNestedLoop,
+          EstimateNestedLoopCost(pr, ps, options.buffer_pages,
+                                 options.cost_model),
+          "blocks(r) x scan(s); exact closed form"};
+}
+
+JoinEstimate EstimateSortMergeRow(uint32_t pr, uint32_t ps,
+                                  const ExecOptions& options) {
+  return {JoinExecutor::kSortMerge,
+          EstimateSortMergeCost(pr, ps, options.buffer_pages,
+                                options.cost_model),
+          "sort both + co-scan; back-up not modelled"};
+}
+
+JoinEstimate EstimatePartitionRow(uint32_t pr, uint32_t ps,
+                                  const ExecOptions& options) {
+  return {JoinExecutor::kPartition,
+          EstimatePartitionJoinCost(pr, ps, options.buffer_pages,
+                                    options.cost_model),
+          "sample + Grace partition both + join scan; cache not modelled"};
+}
+
+JoinEstimate EstimateSweepRow(uint32_t pr, uint32_t ps,
+                              const ExecOptions& options) {
+  return {JoinExecutor::kSweep,
+          EstimateSweepJoinCost(pr, ps, options.buffer_pages,
+                                options.cost_model),
+          "sort both + one sweep; active maps are in-memory"};
+}
+
+StatusOr<JoinRunStats> RunPartitionRow(StoredRelation* r, StoredRelation* s,
+                                       StoredRelation* out,
+                                       const ExecOptions& options,
+                                       ExecContext* ctx) {
+  PartitionJoinOptions pj;
+  static_cast<ExecOptions&>(pj) = options;
+  return PartitionVtJoin(r, s, out, pj, ctx);
+}
+
+StatusOr<JoinRunStats> RunRadixRow(StoredRelation* r, StoredRelation* s,
+                                   StoredRelation* out,
+                                   const ExecOptions& options,
+                                   ExecContext* ctx) {
+  RadixJoinOptions rj;
+  static_cast<ExecOptions&>(rj) = options;
+  return RadixVtJoin(r, s, out, rj, ctx);
+}
+
+/// The oracle as an executor: both inputs read fully (charged as
+/// sequential scans), joined in memory, results appended through the
+/// canonical writer (sorted serialized records). Canonical order makes an
+/// oracle run byte-identical to any executor run of the same request —
+/// the partition executor's sequenced variants and the sweep executor
+/// write the same canonical order — and to itself regardless of the
+/// predicate. Inner joins evaluate the TemporalPredicate via
+/// ReferenceTemporalJoin (the single ground truth for every executor x
+/// predicate pair); the sequenced outer/anti kinds via
+/// ReferenceSequencedJoin.
+StatusOr<JoinRunStats> RunReferenceRow(StoredRelation* r, StoredRelation* s,
+                                       StoredRelation* out,
+                                       const ExecOptions& options,
+                                       ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(ValidateExecOptions(JoinExecutor::kReference, options));
+  JoinKind kind = options.join_kind;
+  TEMPO_RETURN_IF_ERROR(PrepareJoinForKind(r, s, out, kind).status());
+  Disk* disk = r->disk();
+  IoAccountant& acct = disk->accountant();
+  if (ctx != nullptr && ctx->accountant() == nullptr) {
+    ctx->BindAccountant(&acct);
+  }
+  IoStats before = acct.stats();
+  TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> r_tuples, r->ReadAll());
+  TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> s_tuples, s->ReadAll());
+  std::vector<Tuple> result;
+  if (kind == JoinKind::kInner) {
+    TEMPO_ASSIGN_OR_RETURN(
+        result, ReferenceTemporalJoin(r->schema(), r_tuples, s->schema(),
+                                      s_tuples, options.predicate));
+  } else {
+    TEMPO_ASSIGN_OR_RETURN(
+        result, ReferenceSequencedJoin(r->schema(), r_tuples, s->schema(),
+                                       s_tuples, kind));
+  }
+  ResultWriter writer = ResultWriter::Canonical(out);
+  for (const Tuple& t : result) {
+    TEMPO_RETURN_IF_ERROR(writer.EmitAssembled(t));
+  }
+  TEMPO_RETURN_IF_ERROR(writer.Finish());
+  JoinRunStats stats;
+  stats.io = acct.stats() - before;
+  stats.output_tuples = result.size();
+  if (kind != JoinKind::kInner) {
+    stats.Set(Metric::kSequencedJoinKind,
+              static_cast<double>(static_cast<uint8_t>(kind)));
+  }
+  ExportMetrics(stats, ctx);
+  return stats;
+}
+
+/// kAuto: plans, then runs the chosen row. The stats carry
+/// kPlannedAlgorithm (the JoinExecutor value) and kPlannedCost. If the
+/// radix row was chosen but exceeded its memory budget mid-extract, the
+/// partition row reruns the join and kRadixFallback is set.
+///
+/// With a non-null `ctx`, planning runs under a kPlan span and the
+/// estimate is annotated onto the chosen row's root span, so ExplainAnalyze
+/// prints estimated vs. actual cost side by side.
+StatusOr<JoinRunStats> RunPlannedRow(StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
-                                     const VtJoinOptions& options,
+                                     const ExecOptions& options,
                                      ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(ValidateExecOptions(JoinExecutor::kAuto, options));
   if (ctx != nullptr && ctx->accountant() == nullptr) {
     ctx->BindAccountant(&r->disk()->accountant());
-  }
-  if (options.predicate.HasDisjointNonAdjacent()) {
-    return Status::InvalidArgument(
-        "no plannable executor evaluates predicate '" +
-        options.predicate.Name() +
-        "': before/after match unboundedly separated tuples (use the "
-        "reference oracle, JoinExecutor::kReference)");
-  }
-  if (options.join_kind != JoinKind::kInner) {
-    // The sequenced outer/anti variants are implemented only by the
-    // partition executor (coverage tracking rides on its dedup rule), so
-    // the plan is forced rather than costed.
-    SetMetric(ctx, Metric::kPlannedAlgorithm,
-              static_cast<double>(static_cast<int>(JoinAlgorithm::kPartition)));
-    PartitionJoinOptions pj;
-    static_cast<ExecOptions&>(pj) = options;
-    StatusOr<JoinRunStats> stats = PartitionVtJoin(r, s, out, pj, ctx);
-    if (stats.ok()) {
-      stats->Set(Metric::kPlannedAlgorithm,
-                 static_cast<double>(static_cast<int>(
-                     JoinAlgorithm::kPartition)));
-      ExportMetrics(*stats, ctx);
-    }
-    return stats;
   }
   JoinPlan plan;
   {
     TraceSpan plan_span = SpanIf(ctx, Phase::kPlan);
     plan = PlanVtJoin(r, s, options);
   }
+  const ExecutorRow& chosen = ExecutorRowOf(plan.algorithm);
+  const double est = plan.candidates.front().estimated_cost;
   if (ctx != nullptr) {
-    // Pre-annotate the chosen executor's root span so ExplainAnalyze
-    // prints the planner's estimate next to the phase's actual cost.
-    const double est = plan.candidates.front().estimated_cost;
-    switch (plan.algorithm) {
-      case JoinAlgorithm::kNestedLoop:
-        ctx->AnnotateEstimate(Phase::kNestedLoop, est);
-        break;
-      case JoinAlgorithm::kSortMerge:
-        ctx->AnnotateEstimate(Phase::kSortMerge, est);
-        break;
-      case JoinAlgorithm::kPartition:
-        ctx->AnnotateEstimate(Phase::kPartitionJoin, est);
-        break;
-      case JoinAlgorithm::kInMemoryRadix:
-        ctx->AnnotateEstimate(Phase::kRadixJoin, est);
-        break;
-      case JoinAlgorithm::kSweep:
-        ctx->AnnotateEstimate(Phase::kSweepJoin, est);
-        break;
-    }
+    ctx->AnnotateEstimate(chosen.root, est);
     // Record the footprint-vs-budget decision inputs whichever path was
     // chosen, so EXPLAIN ANALYZE can show why the radix path was (not)
     // taken.
@@ -256,50 +249,85 @@ StatusOr<JoinRunStats> ExecuteVtJoin(StoredRelation* r, StoredRelation* s,
     SetMetric(ctx, Metric::kRadixBudgetBytes,
               static_cast<double>(ResolveRadixBudgetBytes(options)));
   }
-  StatusOr<JoinRunStats> stats = Status::Internal("unreachable");
+  StatusOr<JoinRunStats> stats = chosen.run(r, s, out, options, ctx);
   bool radix_fallback = false;
-  switch (plan.algorithm) {
-    case JoinAlgorithm::kNestedLoop:
-      stats = NestedLoopVtJoin(r, s, out, options, ctx);
-      break;
-    case JoinAlgorithm::kSortMerge:
-      stats = SortMergeVtJoin(r, s, out, options, ctx);
-      break;
-    case JoinAlgorithm::kPartition: {
-      PartitionJoinOptions pj;
-      static_cast<ExecOptions&>(pj) = options;
-      stats = PartitionVtJoin(r, s, out, pj, ctx);
-      break;
-    }
-    case JoinAlgorithm::kInMemoryRadix: {
-      RadixJoinOptions rj;
-      static_cast<ExecOptions&>(rj) = options;
-      stats = RadixVtJoin(r, s, out, rj, ctx);
-      if (!stats.ok() &&
-          stats.status().code() == StatusCode::kResourceExhausted) {
-        // The optimistic plan-time footprint was wrong: extraction hit the
-        // budget. Nothing was emitted yet, so clear and rerun on the paged
-        // Grace path.
-        radix_fallback = true;
-        TEMPO_RETURN_IF_ERROR(out->Clear());
-        PartitionJoinOptions pj;
-        static_cast<ExecOptions&>(pj) = options;
-        stats = PartitionVtJoin(r, s, out, pj, ctx);
-      }
-      break;
-    }
-    case JoinAlgorithm::kSweep:
-      stats = SweepVtJoin(r, s, out, options, ctx);
-      break;
+  if (chosen.executor == JoinExecutor::kInMemoryRadix && !stats.ok() &&
+      stats.status().code() == StatusCode::kResourceExhausted) {
+    // The optimistic plan-time footprint was wrong: extraction hit the
+    // budget. Nothing was emitted yet, so clear and rerun on the paged
+    // partition join.
+    radix_fallback = true;
+    TEMPO_RETURN_IF_ERROR(out->Clear());
+    stats = RunPartitionRow(r, s, out, options, ctx);
   }
   if (stats.ok()) {
     if (radix_fallback) stats->Set(Metric::kRadixFallback, 1.0);
     stats->Set(Metric::kPlannedAlgorithm,
                static_cast<double>(static_cast<int>(plan.algorithm)));
-    stats->Set(Metric::kPlannedCost, plan.candidates.front().estimated_cost);
+    stats->Set(Metric::kPlannedCost, est);
     ExportMetrics(*stats, ctx);
   }
   return stats;
+}
+
+// The radix row comes first: at equal estimated I/O (it ties nested-loop
+// and the in-memory partition path when everything fits), stable_sort
+// keeps it ahead — flat columnar probing beats the tuple-at-a-time paths
+// on CPU, which the I/O cost model cannot see. The sweep comes after
+// sort-merge, whose estimated I/O it ties: under the default predicate
+// every established pick stands, while a meets/met-by predicate leaves the
+// sweep as the only finite candidate.
+constexpr ExecutorRow kExecutorTable[] = {
+    {JoinExecutor::kInMemoryRadix, Phase::kRadixJoin, &EstimateRadixRow,
+     &RunRadixRow},
+    {JoinExecutor::kNestedLoop, Phase::kNestedLoop, &EstimateNestedLoopRow,
+     &NestedLoopVtJoin},
+    {JoinExecutor::kSortMerge, Phase::kSortMerge, &EstimateSortMergeRow,
+     &SortMergeVtJoin},
+    {JoinExecutor::kPartition, Phase::kPartitionJoin, &EstimatePartitionRow,
+     &RunPartitionRow},
+    {JoinExecutor::kSweep, Phase::kSweepJoin, &EstimateSweepRow,
+     &SweepVtJoin},
+    {JoinExecutor::kIndexed, Phase::kIndexed, nullptr, &IndexedVtJoin},
+    // The oracle and the planner have no executor span of their own; their
+    // work is traced under the root.
+    {JoinExecutor::kReference, Phase::kExecute, nullptr, &RunReferenceRow},
+    {JoinExecutor::kAuto, Phase::kExecute, nullptr, &RunPlannedRow},
+};
+
+}  // namespace
+
+std::span<const ExecutorRow> ExecutorTable() { return kExecutorTable; }
+
+const ExecutorRow& ExecutorRowOf(JoinExecutor executor) {
+  for (const ExecutorRow& row : kExecutorTable) {
+    if (row.executor == executor) return row;
+  }
+  return kExecutorTable[std::size(kExecutorTable) - 1];  // unreachable
+}
+
+JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
+                    const ExecOptions& options) {
+  const uint32_t pr = r->num_pages();
+  const uint32_t ps = s->num_pages();
+  JoinPlan plan;
+  for (const ExecutorRow& row : kExecutorTable) {
+    if (row.estimate == nullptr) continue;
+    Status eligible = ValidateExecOptions(row.executor, options);
+    if (eligible.ok()) {
+      plan.candidates.push_back(row.estimate(pr, ps, options));
+    } else {
+      plan.candidates.push_back({row.executor, kInfinity,
+                                 "ineligible: " +
+                                     std::string(eligible.message())});
+    }
+  }
+  std::stable_sort(plan.candidates.begin(), plan.candidates.end(),
+                   [](const JoinEstimate& a, const JoinEstimate& b) {
+                     return a.estimated_cost < b.estimated_cost;
+                   });
+  plan.algorithm = plan.candidates.front().algorithm;
+  return plan;
 }
 
 }  // namespace tempo

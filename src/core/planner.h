@@ -1,6 +1,7 @@
 #ifndef TEMPO_CORE_PLANNER_H_
 #define TEMPO_CORE_PLANNER_H_
 
+#include <span>
 #include <string>
 
 #include "core/partition_join.h"
@@ -8,36 +9,23 @@
 
 namespace tempo {
 
-/// The evaluation strategies for the valid-time natural join. Enumerator
-/// order is the kPlannedAlgorithm metric encoding (0 = NL, 1 = SM, 2 = PJ,
-/// 3 = radix, 4 = sweep); append only.
-enum class JoinAlgorithm {
-  kNestedLoop,
-  kSortMerge,
-  kPartition,
-  kInMemoryRadix,
-  kSweep,
-};
-
-const char* JoinAlgorithmName(JoinAlgorithm a);
-
-/// One algorithm's planner estimate.
+/// One executor's planner estimate.
 struct JoinEstimate {
-  JoinAlgorithm algorithm;
+  JoinExecutor algorithm;
   double estimated_cost = 0.0;
   std::string rationale;
 };
 
-/// The planner's decision: the chosen algorithm plus every candidate's
+/// The planner's decision: the chosen executor plus every candidate's
 /// estimate (sorted best-first) for EXPLAIN-style introspection.
 struct JoinPlan {
-  JoinAlgorithm algorithm;
+  JoinExecutor algorithm;
   std::vector<JoinEstimate> candidates;
 };
 
 /// Analytic I/O cost estimates, catalog-only (no data access):
 ///
-///  - nested-loops: the paper's exact closed form
+///  - nested-loop: the paper's exact closed form
 ///    (NestedLoopAnalyticCost);
 ///  - sort-merge: run formation + merge passes + co-scan, assuming no
 ///    back-up (optimistic for long-lived-heavy data — the planner cannot
@@ -48,7 +36,7 @@ struct JoinPlan {
 ///    optimistic, to the same degree).
 ///
 /// The estimates are deliberately cheap and coarse; tests pin their
-/// regime behaviour (nested-loops wins when an input fits in memory,
+/// regime behaviour (nested-loop wins when an input fits in memory,
 /// partition join wins in the paper's big-inputs/modest-memory regime).
 double EstimateNestedLoopCost(uint32_t pages_r, uint32_t pages_s,
                               uint32_t buffer_pages, const CostModel& model);
@@ -61,8 +49,8 @@ double EstimatePartitionJoinCost(uint32_t pages_r, uint32_t pages_s,
 /// I/O cost of the in-memory radix path when it is eligible: one
 /// sequential pass over each input (all other work is CPU/cache traffic,
 /// which the I/O cost model does not price — the point of the fast path).
-/// Eligibility is a memory question, not a cost one: PlanVtJoin only
-/// offers this candidate when EstimateRadixFootprintBytes fits the
+/// Beyond ValidateExecOptions, the radix row has a memory condition:
+/// PlanVtJoin prices it only when EstimateRadixFootprintBytes fits the
 /// resolved budget (see core/radix_join.h).
 double EstimateRadixJoinCost(uint32_t pages_r, uint32_t pages_s,
                              const CostModel& model);
@@ -76,32 +64,41 @@ double EstimateRadixJoinCost(uint32_t pages_r, uint32_t pages_s,
 double EstimateSweepJoinCost(uint32_t pages_r, uint32_t pages_s,
                              uint32_t buffer_pages, const CostModel& model);
 
-/// Ranks the algorithms for r |X|_v s under `options` and returns the
-/// full ranking (the in-memory radix path included; when its estimated
-/// footprint exceeds the memory budget it is ranked last at infinite cost
-/// with the footprint-vs-budget rationale). The ranking is predicate-
-/// aware: predicates whose relations all imply a shared chronon admit
-/// every executor; adjacency predicates (meets/met-by) rank every
-/// non-sweep executor ineligible at infinite cost; predicates containing
-/// before/after are not plannable at all (ExecuteVtJoin rejects them —
-/// only the reference oracle evaluates those).
-JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
-                    const VtJoinOptions& options);
+/// One executor's row in the table every consumer reads: the root span
+/// the planner annotates its estimate onto, the cost estimate (null for
+/// the executors the planner never picks: indexed, reference, auto) and
+/// the run function. Run functions take the shared ExecOptions; the
+/// partition and radix rows slice them into their own option structs, and
+/// the auto row plans, then runs the chosen row. Every run function checks
+/// ValidateExecOptions first.
+struct ExecutorRow {
+  using Estimate = JoinEstimate (*)(uint32_t pages_r, uint32_t pages_s,
+                                    const ExecOptions& options);
+  using Run = StatusOr<JoinRunStats> (*)(StoredRelation* r,
+                                         StoredRelation* s,
+                                         StoredRelation* out,
+                                         const ExecOptions& options,
+                                         ExecContext* ctx);
+  JoinExecutor executor;
+  Phase root;
+  Estimate estimate;
+  Run run;
+};
 
-/// Plans, then executes the chosen algorithm. The returned stats carry
-/// the usual executor metrics plus kPlannedAlgorithm (0=NL, 1=SM, 2=PJ,
-/// 3=radix) and kPlannedCost. If the radix path was chosen but exceeded
-/// its memory budget mid-extract, execution transparently falls back to
-/// the paged Grace join and sets kRadixFallback=1.
-///
-/// With a non-null `ctx`, planning runs under a kPlan span, the planner's
-/// estimate is annotated onto the chosen executor's root span (so
-/// ExplainAnalyze prints estimated vs. actual cost side by side), and the
-/// executor's phases are traced as usual.
-StatusOr<JoinRunStats> ExecuteVtJoin(StoredRelation* r, StoredRelation* s,
-                                     StoredRelation* out,
-                                     const VtJoinOptions& options,
-                                     ExecContext* ctx = nullptr);
+/// All rows, planned ones first in the planner's tie-break order: radix,
+/// nested-loop, sort-merge, partition, sweep.
+std::span<const ExecutorRow> ExecutorTable();
+
+/// The row of `executor`.
+const ExecutorRow& ExecutorRowOf(JoinExecutor executor);
+
+/// Ranks the planned executors for r |X|_v s under `options` and returns
+/// the full ranking. Each row ValidateExecOptions rejects ranks at
+/// infinite cost with the rejection as its rationale, and so does the
+/// radix row when its estimated footprint exceeds the memory budget.
+/// Ties keep table order (stable sort).
+JoinPlan PlanVtJoin(StoredRelation* r, StoredRelation* s,
+                    const ExecOptions& options);
 
 }  // namespace tempo
 

@@ -215,8 +215,9 @@ StatusOr<JoinRunStats> RadixVtJoin(StoredRelation* r, StoredRelation* s,
                                    StoredRelation* out,
                                    const RadixJoinOptions& options,
                                    ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(
+      ValidateExecOptions(JoinExecutor::kInMemoryRadix, options));
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
-  TEMPO_RETURN_IF_ERROR(RequireSharedChrononPredicate(options, "radix"));
   if (ctx != nullptr && ctx->accountant() == nullptr) {
     ctx->BindAccountant(&r->disk()->accountant());
   }

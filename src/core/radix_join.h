@@ -32,7 +32,7 @@ uint64_t ResolveRadixBudgetBytes(const ExecOptions& options);
 /// deliberately optimistic — the exact per-row column/view overhead
 /// (kColumnRowBytes) is only known once extraction counts rows — so the
 /// estimate errs toward trying the fast path, and RadixVtJoin enforces the
-/// budget exactly, page by page, during extraction; ExecuteVtJoin falls
+/// budget exactly, page by page, during extraction; the auto row falls
 /// back to the paged Grace join on kResourceExhausted.
 uint64_t EstimateRadixFootprintBytes(uint32_t pages_r, uint32_t pages_s);
 

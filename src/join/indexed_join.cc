@@ -8,14 +8,14 @@ namespace tempo {
 
 StatusOr<JoinRunStats> IndexedVtJoin(StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
-                                     const VtJoinOptions& options,
+                                     const ExecOptions& options,
                                      ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(ValidateExecOptions(JoinExecutor::kIndexed, options));
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
   if (options.buffer_pages < 8) {
     return Status::InvalidArgument(
         "indexed join needs at least 8 buffer pages");
   }
-  TEMPO_RETURN_IF_ERROR(RequireSharedChrononPredicate(options, "indexed"));
   Disk* disk = r->disk();
   IoAccountant& acct = disk->accountant();
   if (ctx != nullptr && ctx->accountant() == nullptr) {

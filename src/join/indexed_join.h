@@ -29,7 +29,7 @@ namespace tempo {
 /// span reports hit/miss deltas.
 StatusOr<JoinRunStats> IndexedVtJoin(StoredRelation* r, StoredRelation* s,
                                      StoredRelation* out,
-                                     const VtJoinOptions& options,
+                                     const ExecOptions& options,
                                      ExecContext* ctx = nullptr);
 
 }  // namespace tempo

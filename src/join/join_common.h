@@ -20,13 +20,6 @@
 
 namespace tempo {
 
-/// Options shared by all valid-time join executors. The four common knobs
-/// — buffer_pages (the paper's buffSize: all working state that scales
-/// with the input is charged against it), cost_model, seed, parallel —
-/// live in the shared ExecOptions core, so planner and executor option
-/// structs can exchange them by slicing instead of field-by-field copies.
-struct VtJoinOptions : ExecOptions {};
-
 /// Execution report of one join run. Executor-specific counters are typed:
 /// a MetricsRegistry over the declared Metric enum, so every counter a run
 /// can report is declared in obs/metrics.h with unit, owner and doc string.
@@ -55,22 +48,6 @@ struct JoinRunStats {
 /// ANALYZE can print the registry next to the span tree.
 inline void ExportMetrics(const JoinRunStats& stats, ExecContext* ctx) {
   if (ctx != nullptr) ctx->metrics().Merge(stats.metrics);
-}
-
-/// Direct-call guard for the overlap-driven executors (nested-loop,
-/// sort-merge, indexed, partition, radix): every relation in the
-/// predicate's disjunction must imply a shared chronon, because these
-/// executors only ever consider tuple pairs that meet in a partition /
-/// active window. Facade requests hit the same rule earlier through
-/// ValidateExecOptions; this keeps direct executor calls safe too.
-inline Status RequireSharedChrononPredicate(const ExecOptions& options,
-                                            const char* executor) {
-  if (options.predicate.ImpliesSharedChronon()) return Status::OK();
-  return Status::InvalidArgument(
-      std::string(executor) + " executor cannot evaluate predicate '" +
-      options.predicate.Name() +
-      "': it contains relations without a shared chronon (use the sweep "
-      "executor for meets/met-by, the reference oracle for before/after)");
 }
 
 /// Emission-site filter for pairs already known to share a chronon: the

@@ -4,15 +4,15 @@ namespace tempo {
 
 StatusOr<JoinRunStats> NestedLoopVtJoin(StoredRelation* r, StoredRelation* s,
                                         StoredRelation* out,
-                                        const VtJoinOptions& options,
+                                        const ExecOptions& options,
                                         ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(
+      ValidateExecOptions(JoinExecutor::kNestedLoop, options));
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
   if (options.buffer_pages < 3) {
     return Status::InvalidArgument(
         "nested-loop join needs at least 3 buffer pages");
   }
-  TEMPO_RETURN_IF_ERROR(
-      RequireSharedChrononPredicate(options, "nested-loop"));
   IoAccountant& acct = r->disk()->accountant();
   if (ctx != nullptr && ctx->accountant() == nullptr) {
     ctx->BindAccountant(&acct);

@@ -20,7 +20,7 @@ namespace tempo {
 /// is traced as one kNestedLoop span.
 StatusOr<JoinRunStats> NestedLoopVtJoin(StoredRelation* r, StoredRelation* s,
                                         StoredRelation* out,
-                                        const VtJoinOptions& options,
+                                        const ExecOptions& options,
                                         ExecContext* ctx = nullptr);
 
 /// Closed-form I/O cost of NestedLoopVtJoin, excluding result output.

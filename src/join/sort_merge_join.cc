@@ -227,14 +227,15 @@ class RetentionBudget {
 
 StatusOr<JoinRunStats> SortMergeVtJoin(StoredRelation* r, StoredRelation* s,
                                        StoredRelation* out,
-                                       const VtJoinOptions& options,
+                                       const ExecOptions& options,
                                        ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(
+      ValidateExecOptions(JoinExecutor::kSortMerge, options));
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
   if (options.buffer_pages < 4) {
     return Status::InvalidArgument(
         "sort-merge join needs at least 4 buffer pages");
   }
-  TEMPO_RETURN_IF_ERROR(RequireSharedChrononPredicate(options, "sort-merge"));
   Disk* disk = r->disk();
   IoAccountant& acct = disk->accountant();
   if (ctx != nullptr && ctx->accountant() == nullptr) {

@@ -34,7 +34,7 @@ namespace tempo {
 /// spans.
 StatusOr<JoinRunStats> SortMergeVtJoin(StoredRelation* r, StoredRelation* s,
                                        StoredRelation* out,
-                                       const VtJoinOptions& options,
+                                       const ExecOptions& options,
                                        ExecContext* ctx = nullptr);
 
 }  // namespace tempo

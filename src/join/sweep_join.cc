@@ -198,26 +198,15 @@ class GaplessActiveMap {
 
 StatusOr<JoinRunStats> SweepVtJoin(StoredRelation* r, StoredRelation* s,
                                    StoredRelation* out,
-                                   const VtJoinOptions& options,
+                                   const ExecOptions& options,
                                    ExecContext* ctx) {
+  TEMPO_RETURN_IF_ERROR(ValidateExecOptions(JoinExecutor::kSweep, options));
   TEMPO_ASSIGN_OR_RETURN(NaturalJoinLayout layout, PrepareJoin(r, s, out));
   if (options.buffer_pages < 4) {
     return Status::InvalidArgument(
         "sweep join needs at least 4 buffer pages");
   }
-  if (options.join_kind != JoinKind::kInner) {
-    return Status::InvalidArgument(
-        "sweep executor evaluates inner joins only (kind " +
-        std::string(JoinKindName(options.join_kind)) +
-        " runs on the partition executor or the reference oracle)");
-  }
   const TemporalPredicate pred = options.predicate;
-  if (pred.HasDisjointNonAdjacent()) {
-    return Status::InvalidArgument(
-        "sweep executor cannot evaluate predicate '" + pred.Name() +
-        "': before/after match unboundedly separated tuples (use the "
-        "reference oracle)");
-  }
   Disk* disk = r->disk();
   IoAccountant& acct = disk->accountant();
   if (ctx != nullptr && ctx->accountant() == nullptr) {

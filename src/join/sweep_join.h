@@ -23,10 +23,9 @@ namespace tempo {
 /// map as a zero-copy TupleView (hash and key equality run on the sorted
 /// page bytes) and is materialized exactly once, for its own insertion.
 ///
-/// Predicate support — the reason this executor exists — is the full
-/// shared-chronon-or-adjacent family: any TemporalPredicate not containing
-/// before/after. Emission is specialized per predicate class, chosen once
-/// per run:
+/// Predicate support — the reason this executor exists — extends to the
+/// adjacency relations (ValidateExecOptions states what it accepts).
+/// Emission is specialized per predicate class, chosen once per run:
 ///   - the default overlap disjunction: every live key match overlaps by
 ///     construction (it arrived no later and has not expired), so matches
 ///     are emitted without classifying;
@@ -36,21 +35,19 @@ namespace tempo {
 ///     chronon so an entry ending exactly one chronon before the sweep
 ///     position survives to meet its adjacent partner, and classification
 ///     runs in (r, s) argument order on both probe directions.
-/// Predicates containing before/after match unboundedly separated tuples
-/// and are rejected (only the reference oracle evaluates those).
 ///
 /// Output is written in canonical order (ResultWriter::Canonical), so a
 /// sweep run is byte-identical to the extended reference oracle — and to
 /// itself at any thread count — for every supported predicate. Result
 /// stamps come from PredicateResultInterval (intersection, else span).
 ///
-/// Inner joins only. Metrics: kSortIoOps, kSweepActivePeak, kSweepAppends,
+/// Metrics: kSortIoOps, kSweepActivePeak, kSweepAppends,
 /// kSweepCompactions, kSweepProbeHits, kJoinPredicateMask (always set),
 /// kDecodeMaterializationsAvoided. Traced as kSweepJoin with nested
 /// sort r / sort s / sweep pass spans.
 StatusOr<JoinRunStats> SweepVtJoin(StoredRelation* r, StoredRelation* s,
                                    StoredRelation* out,
-                                   const VtJoinOptions& options,
+                                   const ExecOptions& options,
                                    ExecContext* ctx = nullptr);
 
 }  // namespace tempo

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/status.h"
 #include "storage/io_accountant.h"
 #include "temporal/temporal_predicate.h"
 
@@ -22,10 +23,9 @@ namespace tempo {
 ///   kAnti       — *only* the unmatched r subintervals, in r's own schema
 ///                 (no padding; the sequenced NOT EXISTS).
 ///
-/// Only the partition executor and the reference oracle evaluate the
-/// non-inner kinds; their output is emitted in the canonical sequenced
-/// result order (sorted serialized records) so executor and oracle runs
-/// are byte-identical at any thread count.
+/// Non-inner output is emitted in the canonical sequenced result order
+/// (sorted serialized records), so executor and oracle runs are
+/// byte-identical at any thread count.
 enum class JoinKind : uint8_t {
   kInner = 0,
   kLeftOuter = 1,
@@ -47,12 +47,31 @@ inline const char* JoinKindName(JoinKind k) {
   return "?";
 }
 
-/// The options every join executor shares, factored out so VtJoinOptions
-/// and PartitionJoinOptions no longer duplicate (and silently fork) the
-/// same four knobs. Executor option structs inherit from this, so a
-/// partition-specific options value can be sliced down to the common core
-/// (`static_cast<ExecOptions&>(part_opts) = opts;`) instead of copying
-/// field by field.
+/// The join executors, named once. The first five enumerator values are
+/// the kPlannedAlgorithm metric encoding (0 = nested-loop, 1 = sort-merge,
+/// 2 = partition, 3 = radix, 4 = sweep), so the order is append-only.
+/// kAuto defers to the cost-based planner; kReference is the in-memory
+/// oracle (O(|r|*|s|)), kept addressable for verification runs.
+/// Which executor evaluates which join is ValidateExecOptions's rule; the
+/// planner's costs and run functions are the rows of ExecutorTable()
+/// (core/planner.h).
+enum class JoinExecutor {
+  kNestedLoop,
+  kSortMerge,
+  kPartition,
+  kInMemoryRadix,
+  kSweep,
+  kIndexed,
+  kReference,
+  kAuto,
+};
+
+const char* JoinExecutorName(JoinExecutor e);
+
+/// The options every join executor shares. Executor option structs
+/// inherit from this, so a partition-specific options value can be
+/// sliced down to the common core (`static_cast<ExecOptions&>(part_opts)
+/// = opts;`) instead of copying field by field.
 struct ExecOptions {
   /// Buffer pages available to the algorithm (the paper's M).
   uint32_t buffer_pages = 2048;
@@ -69,19 +88,13 @@ struct ExecOptions {
   // scheduler config governs every concurrent query instead of each
   // options value carrying its own thread count.
 
-  /// Which sequenced join variant to evaluate. Which (executor, kind,
-  /// predicate) combinations are admissible is enforced centrally by
-  /// ValidateExecOptions (src/service/join_request.h) — e.g. non-inner
-  /// kinds are only accepted by the partition executor and the reference
-  /// oracle, and require the default overlap predicate.
+  /// Which sequenced join variant to evaluate. Which executors accept
+  /// which kind is ValidateExecOptions's rule.
   JoinKind join_kind = JoinKind::kInner;
 
   /// The temporal matching condition: a disjunction of Allen relations.
   /// Defaults to `overlap`, the valid-time natural join's condition.
-  /// Predicates whose relations all imply a shared chronon run on any
-  /// executor; adjacency predicates (meets/met-by) need the sweep
-  /// executor; predicates containing before/after only run on the
-  /// reference oracle. See ValidateExecOptions.
+  /// Which executors accept which predicate is ValidateExecOptions's rule.
   TemporalPredicate predicate;
 
   /// In-memory footprint budget (bytes) for the columnar radix fast path.
@@ -91,6 +104,31 @@ struct ExecOptions {
   /// algorithm. See ResolveRadixBudgetBytes (core/radix_join.h).
   uint64_t radix_budget_bytes = 0;
 };
+
+/// The one eligibility rule for executor x join kind x predicate: OK when
+/// `executor` can evaluate `options`, otherwise InvalidArgument naming all
+/// three. Every executor entry function calls it first, so direct calls
+/// are as safe as facade requests; the planner prices only the executors
+/// it accepts. The rule, over predicate classes (paper Section 4.1: the
+/// partition framework evaluates every predicate implying a shared
+/// chronon):
+///
+///  - inner joins under a predicate whose relations all share a chronon
+///    run on every executor;
+///  - adjacency predicates (meets/met-by, no before/after) need the sweep
+///    executor (whose active-map expiry keeps adjacent tuples alive one
+///    extra chronon), auto planning, or the reference oracle;
+///  - predicates containing before/after match unboundedly separated
+///    tuples and run on the reference oracle only;
+///  - non-inner kinds (outer/anti) run on the partition executor (auto
+///    routes there) or the reference oracle, and only under the default
+///    overlap predicate, over which the sequenced semantics are defined.
+Status ValidateExecOptions(JoinExecutor executor, const ExecOptions& options);
+
+// Older spellings of the names above, still used by the perfbench/ harness.
+using JoinAlgorithm = JoinExecutor;
+using VtJoinOptions = ExecOptions;
+inline constexpr auto& JoinAlgorithmName = JoinExecutorName;
 
 }  // namespace tempo
 

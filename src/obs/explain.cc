@@ -1,12 +1,12 @@
 #include "obs/explain.h"
 
 #include <algorithm>
-
-#include "obs/exec_options.h"
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <vector>
+
+#include "obs/exec_options.h"
 
 namespace tempo {
 
@@ -98,21 +98,19 @@ std::string FormatBytes(double bytes) {
 
 /// The "physical path" line: which executor actually ran, with the
 /// footprint-vs-budget numbers behind the radix-vs-paged decision. A
-/// mid-extract fallback renders as paged-grace with the radix abort noted,
-/// so fallback decisions are debuggable from the EXPLAIN output alone.
+/// mid-extract fallback renders as the partition join with the radix abort
+/// noted, so fallback decisions are debuggable from the EXPLAIN output
+/// alone.
 std::string PhysicalPathLine(const MetricsRegistry& metrics) {
   if (!metrics.Has(Metric::kPlannedAlgorithm)) return "";
-  const int algo = static_cast<int>(metrics.Get(Metric::kPlannedAlgorithm));
-  const bool fallback = metrics.Get(Metric::kRadixFallback) == 1.0;
-  static const char* kNames[] = {"nested-loops", "sort-merge", "paged-grace",
-                                 "in-memory-radix"};
+  const auto executor =
+      static_cast<JoinExecutor>(metrics.Get(Metric::kPlannedAlgorithm));
   std::string line = "physical path: ";
-  if (algo == 3 && fallback) {
-    line += "paged-grace (radix fallback: budget exceeded mid-extract)";
-  } else if (algo >= 0 && algo < 4) {
-    line += kNames[algo];
+  if (metrics.Get(Metric::kRadixFallback) == 1.0) {
+    line += JoinExecutorName(JoinExecutor::kPartition);
+    line += " (radix fallback: budget exceeded mid-extract)";
   } else {
-    line += "?";
+    line += JoinExecutorName(executor);
   }
   if (metrics.Has(Metric::kRadixEstFootprintBytes)) {
     line += " — footprint est " +

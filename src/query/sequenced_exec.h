@@ -17,9 +17,8 @@ namespace tempo {
 /// executor options (buffer pages, cost model, seed); each node's
 /// JoinKind comes from the plan, overriding `join.join_kind`.
 struct QueryOptions {
-  VtJoinOptions join;
-  /// Executor for join nodes: kAuto defers to the planner (which forces
-  /// the partition executor for non-inner kinds).
+  ExecOptions join;
+  /// Executor for join nodes: kAuto defers to the planner.
   JoinExecutor executor = JoinExecutor::kAuto;
 };
 

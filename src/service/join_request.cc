@@ -2,135 +2,11 @@
 
 #include <algorithm>
 
-#include "core/partition_join.h"
 #include "core/planner.h"
-#include "core/radix_join.h"
-#include "join/indexed_join.h"
-#include "join/nested_loop_join.h"
-#include "join/reference_join.h"
-#include "join/sort_merge_join.h"
-#include "join/sweep_join.h"
 
 namespace tempo {
 
-const char* JoinExecutorName(JoinExecutor e) {
-  switch (e) {
-    case JoinExecutor::kAuto:
-      return "auto";
-    case JoinExecutor::kNestedLoop:
-      return "nested-loop";
-    case JoinExecutor::kSortMerge:
-      return "sort-merge";
-    case JoinExecutor::kIndexed:
-      return "indexed";
-    case JoinExecutor::kPartition:
-      return "partition";
-    case JoinExecutor::kReference:
-      return "reference";
-    case JoinExecutor::kInMemoryRadix:
-      return "in-memory-radix";
-    case JoinExecutor::kSweep:
-      return "sweep";
-  }
-  return "unknown";
-}
-
-Status ValidateExecOptions(JoinExecutor executor, const ExecOptions& options) {
-  const TemporalPredicate& pred = options.predicate;
-  if (options.join_kind != JoinKind::kInner) {
-    if (executor != JoinExecutor::kAuto &&
-        executor != JoinExecutor::kPartition &&
-        executor != JoinExecutor::kReference) {
-      return Status::InvalidArgument(
-          std::string("executor ") + JoinExecutorName(executor) +
-          " cannot evaluate join kind " + JoinKindName(options.join_kind) +
-          " under predicate '" + pred.Name() +
-          "': sequenced outer/anti joins run on the partition executor "
-          "(or auto, which routes there) or the reference oracle");
-    }
-    if (!pred.IsOverlapDefault()) {
-      return Status::InvalidArgument(
-          std::string("executor ") + JoinExecutorName(executor) +
-          " cannot evaluate join kind " + JoinKindName(options.join_kind) +
-          " under predicate '" + pred.Name() +
-          "': sequenced outer/anti semantics are defined over the default "
-          "overlap predicate only");
-    }
-    return Status::OK();
-  }
-  if (pred.ImpliesSharedChronon()) return Status::OK();
-  if (!pred.HasDisjointNonAdjacent()) {
-    if (executor == JoinExecutor::kAuto || executor == JoinExecutor::kSweep ||
-        executor == JoinExecutor::kReference) {
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        std::string("executor ") + JoinExecutorName(executor) +
-        " cannot evaluate join kind " + JoinKindName(options.join_kind) +
-        " under predicate '" + pred.Name() +
-        "': adjacency relations (meets/met-by) need the sweep executor, "
-        "auto planning, or the reference oracle");
-  }
-  if (executor == JoinExecutor::kReference) return Status::OK();
-  return Status::InvalidArgument(
-      std::string("executor ") + JoinExecutorName(executor) +
-      " cannot evaluate join kind " + JoinKindName(options.join_kind) +
-      " under predicate '" + pred.Name() +
-      "': before/after match unboundedly separated tuples, which only the "
-      "reference oracle evaluates");
-}
-
 namespace {
-
-/// The oracle as an executor: both inputs read fully (charged as
-/// sequential scans), joined in memory, results appended through the
-/// canonical writer (sorted serialized records). Canonical order makes an
-/// oracle run byte-identical to any executor run of the same request —
-/// the partition executor's sequenced variants and the sweep executor
-/// write the same canonical order — and to itself regardless of the
-/// predicate. Inner joins evaluate the request's TemporalPredicate via
-/// ReferenceTemporalJoin (the single ground truth for every executor x
-/// predicate pair); the sequenced outer/anti kinds are defined over the
-/// default overlap predicate, which ValidateExecOptions guarantees here.
-StatusOr<JoinRunStats> RunReferenceJoin(StoredRelation* r, StoredRelation* s,
-                                        StoredRelation* out,
-                                        const VtJoinOptions& options,
-                                        ExecContext* ctx) {
-  JoinKind kind = options.join_kind;
-  TEMPO_RETURN_IF_ERROR(PrepareJoinForKind(r, s, out, kind).status());
-  Disk* disk = r->disk();
-  IoAccountant& acct = disk->accountant();
-  if (ctx != nullptr && ctx->accountant() == nullptr) {
-    ctx->BindAccountant(&acct);
-  }
-  IoStats before = acct.stats();
-  TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> r_tuples, r->ReadAll());
-  TEMPO_ASSIGN_OR_RETURN(std::vector<Tuple> s_tuples, s->ReadAll());
-  std::vector<Tuple> result;
-  if (kind == JoinKind::kInner) {
-    TEMPO_ASSIGN_OR_RETURN(
-        result, ReferenceTemporalJoin(r->schema(), r_tuples, s->schema(),
-                                      s_tuples, options.predicate));
-  } else {
-    TEMPO_ASSIGN_OR_RETURN(
-        result, ReferenceSequencedJoin(r->schema(), r_tuples, s->schema(),
-                                       s_tuples, kind));
-  }
-  ResultWriter writer = ResultWriter::Canonical(out);
-  for (const Tuple& t : result) {
-    TEMPO_RETURN_IF_ERROR(writer.EmitAssembled(t));
-  }
-  TEMPO_RETURN_IF_ERROR(writer.Finish());
-  JoinRunStats stats;
-  stats.io = acct.stats() - before;
-  stats.output_tuples = result.size();
-  if (kind != JoinKind::kInner) {
-    stats.Set(Metric::kSequencedJoinKind,
-              static_cast<double>(static_cast<uint8_t>(kind)));
-  }
-  ExportMetrics(stats, ctx);
-  return stats;
-}
 
 Status ValidateJoinAttrs(const JoinRequest& req) {
   if (req.expected_join_attrs.empty()) return Status::OK();
@@ -180,35 +56,8 @@ StatusOr<JoinRunStats> RunJoin(const JoinRequest& req, StoredRelation* out,
         "output relation must be distinct from the inputs");
   }
   TEMPO_RETURN_IF_ERROR(ValidateJoinAttrs(req));
-  TEMPO_RETURN_IF_ERROR(ValidateExecOptions(req.executor, req.options));
-
-  StatusOr<JoinRunStats> result = [&]() -> StatusOr<JoinRunStats> {
-    switch (req.executor) {
-      case JoinExecutor::kAuto:
-        return ExecuteVtJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kNestedLoop:
-        return NestedLoopVtJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kSortMerge:
-        return SortMergeVtJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kIndexed:
-        return IndexedVtJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kPartition: {
-        PartitionJoinOptions part;
-        static_cast<ExecOptions&>(part) = req.options;
-        return PartitionVtJoin(req.r, req.s, out, part, ctx);
-      }
-      case JoinExecutor::kReference:
-        return RunReferenceJoin(req.r, req.s, out, req.options, ctx);
-      case JoinExecutor::kInMemoryRadix: {
-        RadixJoinOptions radix;
-        static_cast<ExecOptions&>(radix) = req.options;
-        return RadixVtJoin(req.r, req.s, out, radix, ctx);
-      }
-      case JoinExecutor::kSweep:
-        return SweepVtJoin(req.r, req.s, out, req.options, ctx);
-    }
-    return Status::InvalidArgument("unknown executor");
-  }();
+  StatusOr<JoinRunStats> result =
+      ExecutorRowOf(req.executor).run(req.r, req.s, out, req.options, ctx);
   if (result.ok() && !req.options.predicate.IsOverlapDefault()) {
     result->Set(Metric::kJoinPredicateMask,
                 static_cast<double>(req.options.predicate.mask()));

@@ -11,60 +11,17 @@
 
 namespace tempo {
 
-/// The evaluation strategies a JoinRequest may name. kAuto defers to the
-/// cost-based planner; the rest force one executor. kReference is the
-/// in-memory oracle (O(|r|*|s|)), kept addressable for verification runs
-/// and the only executor that evaluates predicates containing
-/// before/after. kSweep is the endpoint-sorted sweep, the only planned
-/// executor for adjacency predicates (meets/met-by).
-enum class JoinExecutor {
-  kAuto,
-  kNestedLoop,
-  kSortMerge,
-  kIndexed,
-  kPartition,
-  kReference,
-  kInMemoryRadix,
-  kSweep,
-};
-
-const char* JoinExecutorName(JoinExecutor e);
-
-/// The single gatekeeper for executor x join-kind x predicate: returns OK
-/// when the named executor can evaluate `options`, and InvalidArgument
-/// naming all three otherwise. The rules it encodes:
-///
-///  - non-inner kinds (outer/anti) run on the partition executor (kAuto
-///    routes there) or the reference oracle, and only under the default
-///    overlap predicate — the sequenced semantics are defined over
-///    overlapping valid time;
-///  - predicates whose relations all imply a shared chronon (subsets of
-///    the overlap disjunction) are accepted by every executor;
-///  - adjacency predicates (containing meets/met-by but not before/after)
-///    need the sweep executor, the planner (which routes to it), or the
-///    oracle;
-///  - predicates containing before/after match unboundedly separated
-///    tuples and are accepted by the reference oracle only.
-///
-/// RunJoin calls this before dispatch; executors also self-check (their
-/// guards make standalone calls safe), but this is the layer that can
-/// name the requested executor in the error.
-Status ValidateExecOptions(JoinExecutor executor, const ExecOptions& options);
-
 /// One valid-time natural join, described declaratively: which relations,
-/// which executor, and the budget knobs — the single entry point that
-/// replaced six per-executor free functions. Build with the chainable
-/// setters and hand to RunJoin (or Session::Submit for the concurrent
-/// service):
+/// which executor, and the budget knobs. Build with the chainable setters
+/// and hand to RunJoin (or Session::Submit for the concurrent service):
 ///
 ///   JoinRequest req;
 ///   req.From(&r, &s).Using(JoinExecutor::kPartition).BufferPages(32);
 ///   TEMPO_ASSIGN_OR_RETURN(JoinRunStats stats, RunJoin(req, &out, &ctx));
 ///
-/// The legacy free functions (NestedLoopVtJoin, SortMergeVtJoin,
-/// IndexedVtJoin, PartitionVtJoin, RadixVtJoin, ExecuteVtJoin) remain as
-/// thin deprecated entry points for one release; new code goes through
-/// RunJoin.
+/// Each executor also keeps its own entry function (NestedLoopVtJoin …
+/// SweepVtJoin) for callers that set executor-specific options, such as
+/// PartitionJoinOptions, that a request does not carry.
 struct JoinRequest {
   StoredRelation* r = nullptr;
   StoredRelation* s = nullptr;
@@ -72,7 +29,7 @@ struct JoinRequest {
 
   /// Shared budget knobs (buffer_pages is the paper's buffSize — also the
   /// page reservation the service's admission control charges).
-  VtJoinOptions options;
+  ExecOptions options;
 
   /// When non-empty, RunJoin validates that the natural join's shared
   /// attributes are exactly these names (order-insensitive) and fails
@@ -109,19 +66,17 @@ struct JoinRequest {
     options.radix_budget_bytes = bytes;
     return *this;
   }
-  /// Selects the sequenced join variant. Non-inner kinds run on the
-  /// partition executor (kAuto routes there) or the reference oracle;
-  /// naming any other executor is InvalidArgument (see
-  /// ValidateExecOptions). Their output is the canonical sequenced result
-  /// order, so an executor run and an oracle run of the same request are
-  /// byte-identical.
+  /// Selects the sequenced join variant; ValidateExecOptions decides which
+  /// executors accept it. Non-inner output is the canonical sequenced
+  /// result order, so an executor run and an oracle run of the same
+  /// request are byte-identical.
   JoinRequest& Kind(JoinKind kind) {
     options.join_kind = kind;
     return *this;
   }
   /// Selects the temporal predicate the join evaluates (default: the
-  /// overlap disjunction). Which executors accept which predicates is
-  /// ValidateExecOptions's contract; kAuto plans within the eligible set.
+  /// overlap disjunction); ValidateExecOptions decides which executors
+  /// accept it, and kAuto plans within that set.
   JoinRequest& Predicate(TemporalPredicate predicate) {
     options.predicate = predicate;
     return *this;
@@ -134,10 +89,10 @@ struct JoinRequest {
   }
 };
 
-/// Executes `req` into `out`. Dispatches to the named executor (kAuto
-/// plans first), after validating the request: relations present, out
-/// distinct from the inputs, and — when expected_join_attrs is set — the
-/// derived shared attributes match.
+/// Executes `req` into `out`: validates the request (relations present,
+/// out distinct from the inputs, and — when expected_join_attrs is set —
+/// the derived shared attributes match), then calls the named executor's
+/// run function from ExecutorTable() (kAuto plans first).
 ///
 /// Parallelism comes from the Scheduler handle on `ctx` (serial when the
 /// context or handle is null), and all charged I/O lands on the

@@ -9,7 +9,6 @@
 
 #include "temporal/allen.h"
 #include "temporal/interval.h"
-#include "temporal/interval_predicate.h"
 
 namespace tempo {
 
@@ -24,20 +23,17 @@ namespace tempo {
 ///
 /// The default-constructed predicate is `overlap`: the disjunction of
 /// the nine chronon-sharing relations, i.e. the valid-time natural
-/// join's matching condition. The legacy IntervalJoinPredicate enum maps
-/// losslessly onto this type via FromJoinPredicate.
+/// join's matching condition.
 ///
-/// Taxonomy used by executors and the planner:
+/// The taxonomy below is what ValidateExecOptions (obs/exec_options.h)
+/// maps onto executors:
 ///   - ImpliesSharedChronon(): every relation in the set shares a
-///     chronon, so any overlap-driven executor (nested-loop, sort-merge,
-///     indexed, partition, radix, sweep) can serve it by filtering at
-///     its emission site.
-///   - NeedsAdjacency(): the set includes meets/met-by. Only the sweep
-///     executor (whose active-map expiry keeps adjacent tuples alive one
-///     extra chronon) and the reference oracle serve these.
+///     chronon, so an overlap-driven executor can serve it by filtering
+///     at its emission site.
+///   - NeedsAdjacency(): the set includes meets/met-by (endpoint
+///     adjacency, no shared chronon).
 ///   - HasDisjointNonAdjacent(): the set includes before/after. Such
-///     predicates match unboundedly separated tuples; only the
-///     brute-force reference oracle serves them.
+///     predicates match unboundedly separated tuples.
 class TemporalPredicate {
  public:
   /// Default: the nine-relation `overlap` disjunction.
@@ -79,24 +75,6 @@ class TemporalPredicate {
     return Exactly(AllenRelation::kEquals);
   }
 
-  /// Lossless embedding of the legacy leaf enum. Verified equivalent to
-  /// EvalIntervalPredicate over exhaustive interval grids in
-  /// temporal_test.cc.
-  static constexpr TemporalPredicate FromJoinPredicate(
-      IntervalJoinPredicate pred) {
-    switch (pred) {
-      case IntervalJoinPredicate::kOverlap:
-        return Overlap();
-      case IntervalJoinPredicate::kContains:
-        return ContainJoin();
-      case IntervalJoinPredicate::kContainedIn:
-        return ContainedJoin();
-      case IntervalJoinPredicate::kEqual:
-        return EqualJoin();
-    }
-    return Overlap();
-  }
-
   /// Reconstructs a predicate from a raw mask (e.g. a metric value).
   /// Returns nullopt for an empty mask or bits beyond the 13 relations.
   static constexpr std::optional<TemporalPredicate> FromMask(uint16_t mask) {
@@ -120,7 +98,7 @@ class TemporalPredicate {
   constexpr bool IsOverlapDefault() const { return mask_ == kOverlapMask; }
 
   /// Every relation in the set implies a shared chronon (set ⊆ the nine
-  /// overlap relations). Such predicates can be served by any executor.
+  /// overlap relations).
   constexpr bool ImpliesSharedChronon() const {
     return (mask_ & ~kOverlapMask) == 0;
   }

@@ -6,6 +6,7 @@
 #include "algebra/operators.h"
 #include "algebra/temporal_joins.h"
 #include "join/reference_join.h"
+#include "service/join_request.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -155,11 +156,31 @@ TEST(VtDifferenceTest, DifferentValuesUntouched) {
 // Temporal join family through the partition framework
 // ---------------------------------------------------------------------
 
-class PredicateJoinTest
-    : public ::testing::TestWithParam<IntervalJoinPredicate> {};
+// The Section 4.1 join family, each shape with its predicate and the
+// Interval method it names.
+enum class JoinShape { kOverlap, kContains, kContainedIn, kEqual };
+
+struct ShapeCase {
+  const char* name;
+  TemporalPredicate predicate;
+  bool (*holds)(const Interval& x, const Interval& y);
+};
+
+const ShapeCase kShapes[] = {
+    {"overlap", TemporalPredicate::Overlap(),
+     [](const Interval& x, const Interval& y) { return x.Overlaps(y); }},
+    {"contains", TemporalPredicate::ContainJoin(),
+     [](const Interval& x, const Interval& y) { return x.Contains(y); }},
+    {"contained_in", TemporalPredicate::ContainedJoin(),
+     [](const Interval& x, const Interval& y) { return y.Contains(x); }},
+    {"equal", TemporalPredicate::EqualJoin(),
+     [](const Interval& x, const Interval& y) { return x == y; }},
+};
+
+class PredicateJoinTest : public ::testing::TestWithParam<JoinShape> {};
 
 TEST_P(PredicateJoinTest, MatchesInMemoryOracle) {
-  IntervalJoinPredicate pred = GetParam();
+  const ShapeCase& shape = kShapes[static_cast<int>(GetParam())];
   Random rng(55);
   std::vector<Tuple> r_tuples = RandomTuples(rng, 300, 20, 400, 0.3);
   std::vector<Tuple> s_tuples;
@@ -174,10 +195,12 @@ TEST_P(PredicateJoinTest, MatchesInMemoryOracle) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
-  PartitionJoinOptions options;
-  options.buffer_pages = 12;
-  TEMPO_ASSERT_OK(
-      PartitionTemporalJoin(r.get(), s.get(), &out, pred, options).status());
+  JoinRequest req;
+  req.From(r.get(), s.get())
+      .Using(JoinExecutor::kPartition)
+      .BufferPages(12)
+      .Predicate(shape.predicate);
+  TEMPO_ASSERT_OK(RunJoin(req, &out).status());
 
   // Oracle: nested loops with the predicate.
   std::vector<Tuple> expected;
@@ -186,7 +209,7 @@ TEST_P(PredicateJoinTest, MatchesInMemoryOracle) {
       if (!x.EqualOnAttrs(layout.r_join_attrs, layout.s_join_attrs, y)) {
         continue;
       }
-      if (!EvalIntervalPredicate(pred, x.interval(), y.interval())) continue;
+      if (!shape.holds(x.interval(), y.interval())) continue;
       auto common = Overlap(x.interval(), y.interval());
       ASSERT_TRUE(common.has_value());
       expected.push_back(MakeJoinTuple(layout, x, y, *common));
@@ -194,20 +217,16 @@ TEST_P(PredicateJoinTest, MatchesInMemoryOracle) {
   }
   TEMPO_ASSERT_OK_AND_ASSIGN(std::vector<Tuple> actual, out.ReadAll());
   EXPECT_TRUE(SameTupleMultiset(actual, expected))
-      << IntervalJoinPredicateName(pred) << ": got " << actual.size()
-      << ", want " << expected.size();
+      << shape.name << ": got " << actual.size() << ", want "
+      << expected.size();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Predicates, PredicateJoinTest,
-    ::testing::Values(IntervalJoinPredicate::kOverlap,
-                      IntervalJoinPredicate::kContains,
-                      IntervalJoinPredicate::kContainedIn,
-                      IntervalJoinPredicate::kEqual),
-    [](const ::testing::TestParamInfo<IntervalJoinPredicate>& info) {
-      std::string name = IntervalJoinPredicateName(info.param);
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
+    ::testing::Values(JoinShape::kOverlap, JoinShape::kContains,
+                      JoinShape::kContainedIn, JoinShape::kEqual),
+    [](const ::testing::TestParamInfo<JoinShape>& info) {
+      return std::string(kShapes[static_cast<int>(info.param)].name);
     });
 
 TEST(ContainSemiJoinTest, KeepsContainingTuples) {
@@ -223,16 +242,18 @@ TEST(ContainSemiJoinTest, KeepsContainingTuples) {
 }
 
 // ---------------------------------------------------------------------
-// TE-outerjoin / event join
+// TE-outerjoin / event join [SG89]: the sequenced left- and full-outer
+// joins of the reference oracle
 // ---------------------------------------------------------------------
 
-TEST(TEOuterJoinTest, PadsUnmatchedStretchesWithNulls) {
+TEST(ReferenceLeftOuterTest, PadsUnmatchedStretchesWithNulls) {
   std::vector<Tuple> r{T(1, "a", 0, 10)};
   std::vector<Tuple> s{S(1, "x", 3, 5)};
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
-                             TEOuterJoin(TestSchema(), r, SSchema(), s));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r, SSchema(), s,
+                             JoinKind::kLeftOuter));
   // One match on [3,5], NULL-padded stretches [0,2] and [6,10].
-  std::vector<Tuple>& out = result.second;
   ASSERT_EQ(out.size(), 3u);
   int matches = 0, nulls = 0;
   for (const Tuple& t : out) {
@@ -253,26 +274,30 @@ TEST(TEOuterJoinTest, PadsUnmatchedStretchesWithNulls) {
   EXPECT_EQ(nulls, 2);
 }
 
-TEST(TEOuterJoinTest, FullyCoveredTupleHasNoPadding) {
+TEST(ReferenceLeftOuterTest, FullyCoveredTupleHasNoPadding) {
   std::vector<Tuple> r{T(1, "a", 3, 5)};
   std::vector<Tuple> s{S(1, "x", 0, 10)};
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
-                             TEOuterJoin(TestSchema(), r, SSchema(), s));
-  ASSERT_EQ(result.second.size(), 1u);
-  EXPECT_FALSE(result.second[0].value(2).is_null());
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r, SSchema(), s,
+                             JoinKind::kLeftOuter));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].value(2).is_null());
 }
 
-TEST(TEOuterJoinTest, NoMatchMeansFullPadding) {
+TEST(ReferenceLeftOuterTest, NoMatchMeansFullPadding) {
   std::vector<Tuple> r{T(1, "a", 0, 10)};
   std::vector<Tuple> s{S(2, "x", 0, 10)};
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
-                             TEOuterJoin(TestSchema(), r, SSchema(), s));
-  ASSERT_EQ(result.second.size(), 1u);
-  EXPECT_TRUE(result.second[0].value(2).is_null());
-  EXPECT_EQ(result.second[0].interval(), Interval(0, 10));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r, SSchema(), s,
+                             JoinKind::kLeftOuter));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].value(2).is_null());
+  EXPECT_EQ(out[0].interval(), Interval(0, 10));
 }
 
-TEST(TEOuterJoinTest, CoverageInvariant) {
+TEST(ReferenceLeftOuterTest, CoverageInvariant) {
   // For every r tuple, the output intervals carrying its values exactly
   // tile its validity interval (match stretches + padding).
   Random rng(66);
@@ -283,7 +308,9 @@ TEST(TEOuterJoinTest, CoverageInvariant) {
                          t.interval().start(), t.interval().end()));
   }
   TEMPO_ASSERT_OK_AND_ASSIGN(
-      auto result, TEOuterJoin(TestSchema(), r_tuples, SSchema(), s_tuples));
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r_tuples, SSchema(), s_tuples,
+                             JoinKind::kLeftOuter));
   // Coverage check per r tuple via chronon counting.
   for (const Tuple& x : r_tuples) {
     for (Chronon t = x.interval().start(); t <= x.interval().end(); ++t) {
@@ -291,7 +318,7 @@ TEST(TEOuterJoinTest, CoverageInvariant) {
       // exactly where no s tuple overlaps; matches elsewhere. Either way
       // at least one output tuple must cover chronon t.
       bool covered = false;
-      for (const Tuple& z : result.second) {
+      for (const Tuple& z : out) {
         if (z.value(0) == x.value(0) && z.value(1) == x.value(1) &&
             z.interval().Contains(t)) {
           covered = true;
@@ -303,15 +330,17 @@ TEST(TEOuterJoinTest, CoverageInvariant) {
   }
 }
 
-TEST(EventJoinTest, PadsBothSides) {
+TEST(ReferenceFullOuterTest, PadsBothSides) {
   std::vector<Tuple> r{T(1, "a", 0, 4)};
   std::vector<Tuple> s{S(1, "x", 3, 8)};
-  TEMPO_ASSERT_OK_AND_ASSIGN(auto result,
-                             EventJoin(TestSchema(), r, SSchema(), s));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> out,
+      ReferenceSequencedJoin(TestSchema(), r, SSchema(), s,
+                             JoinKind::kFullOuter));
   // Match [3,4]; r-padding [0,2]; s-padding [5,8] with NULL name.
-  ASSERT_EQ(result.second.size(), 3u);
+  ASSERT_EQ(out.size(), 3u);
   int r_pads = 0, s_pads = 0, matches = 0;
-  for (const Tuple& t : result.second) {
+  for (const Tuple& t : out) {
     if (t.value(2).is_null()) {
       ++r_pads;
       EXPECT_EQ(t.interval(), Interval(0, 2));

@@ -60,7 +60,7 @@ TEST_P(AllExecutorsTest, AgreeOnGeneratedWorkload) {
   auto setup = MakeSetup(3000, 600, 150, GetParam());
   ASSERT_NE(setup, nullptr);
 
-  VtJoinOptions base;
+  ExecOptions base;
   base.buffer_pages = 16;
   PartitionJoinOptions pj_options;
   pj_options.buffer_pages = 16;
@@ -114,7 +114,7 @@ TEST(CostShapeTest, PartitionBeatsSortMergeAndSmallMemoryNestedLoop) {
     out.SetCharged(false).ok();
     setup->disk.accountant().Reset();
     StatusOr<JoinRunStats> stats = Status::Internal("");
-    VtJoinOptions base;
+    ExecOptions base;
     base.buffer_pages = pages;
     base.cost_model = model;
     PartitionJoinOptions pj;
@@ -151,7 +151,7 @@ TEST(CostShapeTest, NestedLoopInsensitiveToLongLivedTuples) {
     EXPECT_NE(setup, nullptr);
     StoredRelation out(&setup->disk, setup->layout.output, "out");
     out.SetCharged(false).ok();
-    VtJoinOptions base;
+    ExecOptions base;
     base.buffer_pages = setup->r->num_pages() / 4;
     auto stats =
         NestedLoopVtJoin(setup->r.get(), setup->s.get(), &out, base);
@@ -168,7 +168,7 @@ TEST(CostShapeTest, SortMergeGrowsWithLongLivedDensityUnderTightMemory) {
     EXPECT_NE(setup, nullptr);
     StoredRelation out(&setup->disk, setup->layout.output, "out");
     out.SetCharged(false).ok();
-    VtJoinOptions base;
+    ExecOptions base;
     base.buffer_pages = 12;
     base.cost_model = model;
     auto stats = SortMergeVtJoin(setup->r.get(), setup->s.get(), &out, base);

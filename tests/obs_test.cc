@@ -224,7 +224,7 @@ TEST(ExplainTest, MatchesGoldenSpanTree) {
   EXPECT_EQ(TableOnly(ExplainAnalyze(ctx, opts)), expected);
 }
 
-TEST(ExplainTest, ExecuteVtJoinShowsPlanPhaseAndPlannedCost) {
+TEST(ExplainTest, AutoJoinShowsPlanPhaseAndPlannedCost) {
   JoinInputs in = PaddedInputs();
   Disk disk;
   auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
@@ -234,9 +234,10 @@ TEST(ExplainTest, ExecuteVtJoinShowsPlanPhaseAndPlannedCost) {
   StoredRelation out(&disk, layout_or.value().output, "out");
 
   ExecContext ctx;
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 4;
-  auto stats_or = ExecuteVtJoin(r.get(), s.get(), &out, options, &ctx);
+  auto stats_or = ExecutorRowOf(JoinExecutor::kAuto)
+                      .run(r.get(), s.get(), &out, options, &ctx);
   ASSERT_TRUE(stats_or.ok()) << stats_or.status().ToString();
 
   EXPECT_NE(ctx.tracer().root().FindPhase(Phase::kPlan), nullptr);
@@ -319,19 +320,19 @@ TEST(MetricsTest, NoExecutorEmitsUndeclaredMetrics) {
   struct Case {
     const char* name;
     StatusOr<JoinRunStats> (*run)(StoredRelation*, StoredRelation*,
-                                  StoredRelation*, const VtJoinOptions&,
+                                  StoredRelation*, const ExecOptions&,
                                   ExecContext*);
   };
   for (const Case& c :
        {Case{"nested_loop", &NestedLoopVtJoin},
         Case{"sort_merge", &SortMergeVtJoin},
         Case{"indexed", &IndexedVtJoin},
-        Case{"planner", &ExecuteVtJoin}}) {
+        Case{"planner", ExecutorRowOf(JoinExecutor::kAuto).run}}) {
     Disk disk;
     auto r = MakeRelation(&disk, TestSchema(), in.r_tuples, "r");
     auto s = MakeRelation(&disk, SSchema(), in.s_tuples, "s");
     StoredRelation out(&disk, out_schema, "out");
-    VtJoinOptions options;
+    ExecOptions options;
     options.buffer_pages = 8;  // the indexed join's minimum
     auto stats_or = c.run(r.get(), s.get(), &out, options, nullptr);
     ASSERT_TRUE(stats_or.ok()) << c.name << ": "

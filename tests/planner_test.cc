@@ -55,13 +55,13 @@ TEST(PlannerTest, PicksNestedLoopWhenOuterFitsInMemory) {
     s->Append(Tuple({t.value(0), t.value(1)}, t.interval())).ok();
   }
   TEMPO_ASSERT_OK(s->Flush());
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 1024;  // everything fits
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
   // With the outer resident, nested-loops is a single pass over each
   // input — nothing can beat it (the in-memory partition path ties; both
   // are acceptable, but neither sort-merge).
-  EXPECT_NE(plan.algorithm, JoinAlgorithm::kSortMerge);
+  EXPECT_NE(plan.algorithm, JoinExecutor::kSortMerge);
 }
 
 TEST(PlannerTest, PicksPartitionInPaperRegime) {
@@ -75,10 +75,10 @@ TEST(PlannerTest, PicksPartitionInPaperRegime) {
     s->Append(Tuple({t.value(0), t.value(1)}, t.interval())).ok();
   }
   TEMPO_ASSERT_OK(s->Flush());
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = r->num_pages() / 16;
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
-  EXPECT_EQ(plan.algorithm, JoinAlgorithm::kPartition);
+  EXPECT_EQ(plan.algorithm, JoinExecutor::kPartition);
   // Ranking is complete and sorted; the radix candidate is ineligible at
   // this memory budget (infinite cost), so it ranks last.
   ASSERT_EQ(plan.candidates.size(), 5u);
@@ -88,7 +88,7 @@ TEST(PlannerTest, PicksPartitionInPaperRegime) {
             plan.candidates[2].estimated_cost);
   EXPECT_LE(plan.candidates[2].estimated_cost,
             plan.candidates[3].estimated_cost);
-  EXPECT_EQ(plan.candidates.back().algorithm, JoinAlgorithm::kInMemoryRadix);
+  EXPECT_EQ(plan.candidates.back().algorithm, JoinExecutor::kInMemoryRadix);
   EXPECT_TRUE(std::isinf(plan.candidates.back().estimated_cost));
 }
 
@@ -101,12 +101,12 @@ TEST(PlannerTest, PicksRadixWhenBothInputsFitTheBudget) {
     s->Append(Tuple({t.value(0), t.value(1)}, t.interval())).ok();
   }
   TEMPO_ASSERT_OK(s->Flush());
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 1024;  // budget 1024 pages >> both inputs
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
   // The radix path ties nested-loops on estimated I/O (one pass over each
   // input) and wins the tie: columnar probing is the better in-memory plan.
-  EXPECT_EQ(plan.algorithm, JoinAlgorithm::kInMemoryRadix);
+  EXPECT_EQ(plan.algorithm, JoinExecutor::kInMemoryRadix);
   ASSERT_EQ(plan.candidates.size(), 5u);
 }
 
@@ -123,10 +123,11 @@ TEST(PlannerTest, ExecuteProducesCorrectResultAndAnnotations) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 16;
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             ExecuteVtJoin(r.get(), s.get(), &out, options));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats stats, ExecutorRowOf(JoinExecutor::kAuto)
+                              .run(r.get(), s.get(), &out, options, nullptr));
   EXPECT_TRUE(stats.Has(Metric::kPlannedAlgorithm));
   EXPECT_TRUE(stats.Has(Metric::kPlannedCost));
 
@@ -138,17 +139,16 @@ TEST(PlannerTest, ExecuteProducesCorrectResultAndAnnotations) {
 }
 
 TEST(PlannerTest, AlgorithmNames) {
-  EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kNestedLoop),
-               "nested-loops");
-  EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kSortMerge), "sort-merge");
-  EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kPartition), "partition");
-  EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kInMemoryRadix),
+  EXPECT_STREQ(JoinExecutorName(JoinExecutor::kNestedLoop), "nested-loop");
+  EXPECT_STREQ(JoinExecutorName(JoinExecutor::kSortMerge), "sort-merge");
+  EXPECT_STREQ(JoinExecutorName(JoinExecutor::kPartition), "partition");
+  EXPECT_STREQ(JoinExecutorName(JoinExecutor::kInMemoryRadix),
                "in-memory-radix");
-  EXPECT_STREQ(JoinAlgorithmName(JoinAlgorithm::kSweep), "sweep");
+  EXPECT_STREQ(JoinExecutorName(JoinExecutor::kSweep), "sweep");
 }
 
 // The predicate-aware ranking: adjacency predicates leave the sweep as
-// the only finite-cost candidate, and ExecuteVtJoin routes to it.
+// the only finite-cost candidate, and the auto row routes to it.
 TEST(PlannerTest, AdjacencyPredicateRoutesToSweep) {
   Disk disk;
   Random rng(11);
@@ -158,11 +158,11 @@ TEST(PlannerTest, AdjacencyPredicateRoutesToSweep) {
     s->Append(Tuple({t.value(0), t.value(1)}, t.interval())).ok();
   }
   TEMPO_ASSERT_OK(s->Flush());
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 16;
   options.predicate = TemporalPredicate::Exactly(AllenRelation::kMeets);
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
-  EXPECT_EQ(plan.algorithm, JoinAlgorithm::kSweep);
+  EXPECT_EQ(plan.algorithm, JoinExecutor::kSweep);
   ASSERT_EQ(plan.candidates.size(), 5u);
   EXPECT_TRUE(std::isfinite(plan.candidates.front().estimated_cost));
   for (size_t i = 1; i < plan.candidates.size(); ++i) {
@@ -183,10 +183,12 @@ TEST(PlannerTest, DisjointPredicateIsNotPlannable) {
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 16;
   options.predicate = TemporalPredicate::Exactly(AllenRelation::kBefore);
-  Status st = ExecuteVtJoin(r.get(), s.get(), &out, options).status();
+  Status st = ExecutorRowOf(JoinExecutor::kAuto)
+                  .run(r.get(), s.get(), &out, options, nullptr)
+                  .status();
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("before"), std::string::npos);
 }
@@ -205,14 +207,15 @@ TEST(PlannerTest, EstimatesTrackMeasuredCosts) {
   auto s = MakeRelation(&disk, SSchema(), s_tuples, "s");
   TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = r->num_pages() / 8;
 
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
   StoredRelation out(&disk, layout.output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
-  TEMPO_ASSERT_OK_AND_ASSIGN(JoinRunStats stats,
-                             ExecuteVtJoin(r.get(), s.get(), &out, options));
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats stats, ExecutorRowOf(JoinExecutor::kAuto)
+                              .run(r.get(), s.get(), &out, options, nullptr));
   double measured = stats.Cost(options.cost_model);
   double estimated = plan.candidates.front().estimated_cost;
   EXPECT_GT(estimated, measured / 10.0);

@@ -268,18 +268,19 @@ TEST(RadixJoinTest, ExecuteFallsBackToPagedGraceWhenBudgetExceeded) {
   StoredRelation out(&disk, layout.output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
 
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 256;
   options.radix_budget_bytes =
       EstimateRadixFootprintBytes(r->num_pages(), s->num_pages()) + 8;
 
   JoinPlan plan = PlanVtJoin(r.get(), s.get(), options);
-  EXPECT_EQ(plan.algorithm, JoinAlgorithm::kInMemoryRadix);
+  EXPECT_EQ(plan.algorithm, JoinExecutor::kInMemoryRadix);
 
   ExecContext ctx;
   TEMPO_ASSERT_OK_AND_ASSIGN(
       JoinRunStats stats,
-      ExecuteVtJoin(r.get(), s.get(), &out, options, &ctx));
+      ExecutorRowOf(JoinExecutor::kAuto)
+          .run(r.get(), s.get(), &out, options, &ctx));
   EXPECT_EQ(stats.Get(Metric::kPlannedAlgorithm), 3.0);
   EXPECT_EQ(stats.Get(Metric::kRadixFallback), 1.0);
 
@@ -291,7 +292,9 @@ TEST(RadixJoinTest, ExecuteFallsBackToPagedGraceWhenBudgetExceeded) {
 
   const std::string explain = ExplainAnalyze(ctx, ExplainOptions{});
   EXPECT_NE(explain.find("radix fallback"), std::string::npos) << explain;
-  EXPECT_NE(explain.find("paged-grace"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("physical path: partition (radix fallback"),
+            std::string::npos)
+      << explain;
 }
 
 TEST(RadixJoinTest, ExplainRendersPhysicalPathAndRadixSpans) {
@@ -303,12 +306,13 @@ TEST(RadixJoinTest, ExplainRendersPhysicalPathAndRadixSpans) {
                              DeriveNaturalJoinLayout(TestSchema(), SSchema()));
   StoredRelation out(&disk, layout.output, "out");
   TEMPO_ASSERT_OK(out.SetCharged(false));
-  VtJoinOptions options;
+  ExecOptions options;
   options.buffer_pages = 2048;
   ExecContext ctx;
   TEMPO_ASSERT_OK_AND_ASSIGN(
       JoinRunStats stats,
-      ExecuteVtJoin(r.get(), s.get(), &out, options, &ctx));
+      ExecutorRowOf(JoinExecutor::kAuto)
+          .run(r.get(), s.get(), &out, options, &ctx));
   EXPECT_EQ(stats.Get(Metric::kPlannedAlgorithm), 3.0);
   const std::string explain = ExplainAnalyze(ctx, ExplainOptions{});
   EXPECT_NE(explain.find("physical path: in-memory-radix"), std::string::npos)
@@ -317,6 +321,32 @@ TEST(RadixJoinTest, ExplainRendersPhysicalPathAndRadixSpans) {
   EXPECT_NE(explain.find("radix_partition"), std::string::npos) << explain;
   EXPECT_NE(explain.find("radix_probe"), std::string::npos) << explain;
   EXPECT_NE(explain.find("budget"), std::string::npos) << explain;
+}
+
+// An adjacency predicate leaves the sweep as the planner's only finite
+// candidate, and the physical-path line names it.
+TEST(RadixJoinTest, ExplainRendersSweepPhysicalPath) {
+  Disk disk;
+  Random rng(31);
+  auto r = MakeRelation(&disk, TestSchema(), RandomTuples(rng, 300, 20, 400, 0.1), "r");
+  auto s = MakeRelation(&disk, SSchema(), ToS(RandomTuples(rng, 300, 20, 400, 0.1)), "s");
+  TEMPO_ASSERT_OK_AND_ASSIGN(NaturalJoinLayout layout,
+                             DeriveNaturalJoinLayout(TestSchema(), SSchema()));
+  StoredRelation out(&disk, layout.output, "out");
+  TEMPO_ASSERT_OK(out.SetCharged(false));
+  ExecOptions options;
+  options.buffer_pages = 16;
+  options.predicate = TemporalPredicate::AnyOf(
+      {AllenRelation::kMeets, AllenRelation::kMetBy});
+  ExecContext ctx;
+  TEMPO_ASSERT_OK_AND_ASSIGN(
+      JoinRunStats stats,
+      ExecutorRowOf(JoinExecutor::kAuto)
+          .run(r.get(), s.get(), &out, options, &ctx));
+  EXPECT_EQ(stats.Get(Metric::kPlannedAlgorithm), 4.0);
+  const std::string explain = ExplainAnalyze(ctx, ExplainOptions{});
+  EXPECT_NE(explain.find("physical path: sweep"), std::string::npos)
+      << explain;
 }
 
 TEST(RadixJoinTest, BudgetKnobPrecedenceAndStrictParsing) {

@@ -54,7 +54,7 @@ TEST_P(ExecutorFaultTest, AllExecutorsPropagateInjectedFaults) {
   for (int algo = 0; algo < 3; ++algo) {
     FaultFixture f;
     StoredRelation out(&f.disk, f.layout.output, "out");
-    VtJoinOptions base;
+    ExecOptions base;
     base.buffer_pages = 8;
     PartitionJoinOptions pj;
     pj.buffer_pages = 8;
@@ -90,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(FaultPoints, ExecutorFaultTest,
 TEST(FaultTest, FaultAfterCompletionIsHarmless) {
   FaultFixture f;
   StoredRelation out(&f.disk, f.layout.output, "out");
-  VtJoinOptions base;
+  ExecOptions base;
   base.buffer_pages = 16;
   f.disk.InjectFaultAfter(100000000);  // far beyond any I/O this run does
   TEMPO_EXPECT_OK(
@@ -117,10 +117,12 @@ TEST(FaultTest, ViewBuildPropagates) {
 TEST(FaultTest, PlannerExecutePropagates) {
   FaultFixture f;
   StoredRelation out(&f.disk, f.layout.output, "out");
-  VtJoinOptions base;
+  ExecOptions base;
   base.buffer_pages = 8;
   f.disk.InjectFaultAfter(3);
-  EXPECT_FALSE(ExecuteVtJoin(f.r.get(), f.s.get(), &out, base).ok());
+  EXPECT_FALSE(ExecutorRowOf(JoinExecutor::kAuto)
+                   .run(f.r.get(), f.s.get(), &out, base, nullptr)
+                   .ok());
   f.disk.ClearFault();
 }
 

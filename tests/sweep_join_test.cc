@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/planner.h"
 #include "join/reference_join.h"
 #include "join/sweep_join.h"
 #include "parallel/scheduler.h"
@@ -504,6 +505,54 @@ TEST(ValidateExecOptionsTest, RunJoinEnforcesTheGate) {
       .Predicate(AllenRelation::kMeets);
   Status st = RunJoin(req, &out).status();
   ExpectNames(st, "in-memory-radix", "inner", "meets");
+}
+
+// The whole matrix, over every row of the executor table: each run
+// function (the executor's entry function) called directly, and RunJoin
+// naming the executor, accept exactly the (kind, predicate) combinations
+// ValidateExecOptions accepts and otherwise fail with its message.
+TEST(ValidateExecOptionsTest, EveryEntryPointEnforcesTheRule) {
+  const TemporalPredicate predicates[] = {
+      TemporalPredicate::Overlap(), TemporalPredicate::ContainJoin(),
+      TemporalPredicate::AnyOf({AllenRelation::kMeets, AllenRelation::kMetBy}),
+      TemporalPredicate::Exactly(AllenRelation::kBefore)};
+  const JoinKind kinds[] = {JoinKind::kInner, JoinKind::kLeftOuter,
+                            JoinKind::kFullOuter, JoinKind::kAnti};
+  Disk disk;
+  auto r = MakeRelation(&disk, TestSchema(), GoldenR(), "r");
+  auto s = MakeRelation(&disk, SSchema(), GoldenS(), "s");
+  for (const ExecutorRow& row : ExecutorTable()) {
+    for (JoinKind kind : kinds) {
+      for (const TemporalPredicate& pred : predicates) {
+        JoinRequest req;
+        req.From(r.get(), s.get()).Using(row.executor).BufferPages(16);
+        req.options.join_kind = kind;
+        req.options.predicate = pred;
+        const Status want = ValidateExecOptions(row.executor, req.options);
+        const std::string where = std::string(JoinExecutorName(row.executor)) +
+                                  " x " + JoinKindName(kind) + " x " +
+                                  pred.Name();
+        const Schema out_schema =
+            kind == JoinKind::kAnti ? TestSchema() : OutSchema();
+        StoredRelation direct_out(&disk, out_schema, "direct");
+        StoredRelation facade_out(&disk, out_schema, "facade");
+        const Status direct =
+            row.run(r.get(), s.get(), &direct_out, req.options, nullptr)
+                .status();
+        const Status facade = RunJoin(req, &facade_out).status();
+        for (const Status& got : {direct, facade}) {
+          if (want.ok()) {
+            EXPECT_TRUE(got.ok()) << where << ": " << got.ToString();
+            continue;
+          }
+          EXPECT_EQ(got.code(), StatusCode::kInvalidArgument) << where;
+          EXPECT_EQ(got.message(), want.message()) << where;
+          ExpectNames(got, JoinExecutorName(row.executor), JoinKindName(kind),
+                      pred.Name());
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

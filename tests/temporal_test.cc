@@ -5,7 +5,6 @@
 
 #include "temporal/allen.h"
 #include "temporal/interval.h"
-#include "temporal/interval_predicate.h"
 #include "temporal/interval_set.h"
 #include "temporal/temporal_predicate.h"
 #include "test_util.h"
@@ -297,25 +296,26 @@ TEST(TemporalPredicateTest, MatchesAgreesWithClassifyExhaustively) {
   }
 }
 
-// The legacy leaf enum embeds losslessly: FromJoinPredicate agrees with
-// EvalIntervalPredicate on every pair of a small exhaustive grid.
-TEST(TemporalPredicateTest, FromJoinPredicateMatchesLegacyEval) {
+// The join-family constructors of Section 4.1 agree with the Interval
+// methods they name on every pair of a small exhaustive grid.
+TEST(TemporalPredicateTest, JoinFamilyConstructorsMatchIntervalMethods) {
   constexpr Chronon kHi = 5;
-  const std::vector<IntervalJoinPredicate> legacy = {
-      IntervalJoinPredicate::kOverlap, IntervalJoinPredicate::kContains,
-      IntervalJoinPredicate::kContainedIn, IntervalJoinPredicate::kEqual};
   for (Chronon as = 0; as <= kHi; ++as) {
     for (Chronon ae = as; ae <= kHi; ++ae) {
       for (Chronon bs = 0; bs <= kHi; ++bs) {
         for (Chronon be = bs; be <= kHi; ++be) {
           const Interval a(as, ae), b(bs, be);
-          for (IntervalJoinPredicate lp : legacy) {
-            EXPECT_EQ(
-                TemporalPredicate::FromJoinPredicate(lp).Matches(a, b),
-                EvalIntervalPredicate(lp, a, b))
-                << static_cast<int>(lp) << " on " << a.ToString() << " vs "
-                << b.ToString();
-          }
+          const std::string pair = a.ToString() + " vs " + b.ToString();
+          EXPECT_EQ(TemporalPredicate::Overlap().Matches(a, b), a.Overlaps(b))
+              << pair;
+          EXPECT_EQ(TemporalPredicate::ContainJoin().Matches(a, b),
+                    a.Contains(b))
+              << pair;
+          EXPECT_EQ(TemporalPredicate::ContainedJoin().Matches(a, b),
+                    b.Contains(a))
+              << pair;
+          EXPECT_EQ(TemporalPredicate::EqualJoin().Matches(a, b), a == b)
+              << pair;
         }
       }
     }
