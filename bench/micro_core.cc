@@ -2,15 +2,20 @@
 // selection, cache estimation, Grace partitioning and the in-memory join
 // kernel.
 
+#include <algorithm>
+#include <span>
+
 #include <benchmark/benchmark.h>
 
 #include "micro_util.h"
 
 #include "core/choose_intervals.h"
+#include "core/determine_part_intervals.h"
 #include "core/estimate_cache.h"
 #include "core/grace_partitioner.h"
 #include "join/join_common.h"
 #include "workload/generator.h"
+#include "workload/paper_params.h"
 
 namespace tempo {
 namespace {
@@ -48,6 +53,57 @@ void BM_CoverageIndexChoose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoverageIndexChoose)->Arg(4)->Arg(64)->Arg(1024);
+
+// The optimizer's growth pattern: the sample set grows by appending, in
+// 16 batches up to range(0) samples, and the index is extended (and its
+// segments re-derived) after each batch.
+void BM_CoverageIndexExtend(benchmark::State& state) {
+  const auto samples = MakeSamples(static_cast<size_t>(state.range(0)), 0.2, 2);
+  const std::span<const Interval> all(samples);
+  const size_t step = std::max<size_t>(1, samples.size() / 16);
+  for (auto _ : state) {
+    CoverageIndex index{std::span<const Interval>()};
+    while (index.size() < all.size()) {
+      const size_t take = std::min(step, all.size() - index.size());
+      index.Extend(all.subspan(index.size(), take));
+    }
+    benchmark::DoNotOptimize(index.Choose(16).num_partitions());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CoverageIndexExtend)->Arg(8192)->Arg(65536);
+
+// determinePartIntervals at the paper_join shape: the Section 4 generator
+// at 1/32 scale (8192 tuples, 256 pages), a 32-page buffer and a 5:1
+// random:sequential cost ratio. Sampling I/O is simulated, so this is the
+// optimizer's CPU cost.
+void BM_DeterminePartIntervals(benchmark::State& state) {
+  Disk disk;
+  WorkloadSpec spec;
+  spec.num_tuples = paper::kTuplesPerRelation / 32;
+  spec.num_long_lived = 16000 / 32;
+  spec.lifespan = paper::kLifespan;
+  spec.distinct_keys = paper::kDistinctKeys / 32;
+  spec.tuple_bytes = paper::kTupleBytes;
+  spec.seed = 1;
+  auto rel = GenerateRelation(&disk, spec, "r");
+  if (!rel.ok()) {
+    state.SkipWithError(rel.status().ToString().c_str());
+    return;
+  }
+  PartitionPlanOptions options;
+  options.buffer_pages = 32;
+  options.cost_model = CostModel::Ratio(5.0);
+  uint64_t samples = 0;
+  for (auto _ : state) {
+    Random rng(7);
+    auto plan = DeterminePartIntervals(rel->get(), options, &rng);
+    benchmark::DoNotOptimize(plan.ok());
+    if (plan.ok()) samples = plan->samples_drawn;
+  }
+  state.counters["samples"] = static_cast<double>(samples);
+}
+BENCHMARK(BM_DeterminePartIntervals)->Unit(benchmark::kMillisecond);
 
 void BM_EstimateCacheSizes(benchmark::State& state) {
   auto samples = MakeSamples(static_cast<size_t>(state.range(0)), 0.3, 3);

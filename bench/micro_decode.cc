@@ -56,6 +56,25 @@ void BM_PageDecodeViews(benchmark::State& state) {
 }
 BENCHMARK(BM_PageDecodeViews)->Arg(64)->Arg(256);
 
+// Pinning many pages in one fresh arena, as an external-sort chunk or a
+// probe batch does: views() growth must stay amortized O(1) per record.
+void BM_PageArenaAddPage(benchmark::State& state) {
+  Schema schema = BenchSchema();
+  Page page = FillPage(schema, 64);
+  const auto pages = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    PageTupleArena arena;
+    for (int p = 0; p < pages; ++p) {
+      auto n = arena.AddPage(schema, page);
+      benchmark::DoNotOptimize(n.ok());
+    }
+    benchmark::DoNotOptimize(arena.views().data());
+  }
+  state.SetItemsProcessed(state.iterations() * pages * page.num_records());
+}
+BENCHMARK(BM_PageArenaAddPage)->Arg(256)->Arg(2048)->Unit(
+    benchmark::kMillisecond);
+
 // Key-hash throughput: the probe loop's inner operation. The owning
 // variant pays the full decode (string allocation included) before it
 // can hash; the view variant hashes the record bytes in place.

@@ -1,42 +1,66 @@
 #include "core/choose_intervals.h"
 
 #include <algorithm>
-#include <map>
 
 namespace tempo {
 
-CoverageIndex::CoverageIndex(const std::vector<Interval>& samples) {
-  if (samples.empty()) return;
-
-  // Coverage deltas at interval endpoints: +1 at start, -1 past end.
-  std::map<Chronon, int64_t> deltas;
-  for (const Interval& iv : samples) {
-    deltas[iv.start()] += 1;
-    if (iv.end() != kChrononMax) deltas[iv.end() + 1] -= 1;
+void CoverageIndex::Extend(std::span<const Interval> added) {
+  if (added.empty()) return;
+  const size_t old_size = starts_.size();
+  for (const Interval& iv : added) {
+    starts_.push_back(iv.start());
+    ends_.push_back(iv.end());
   }
+  for (std::vector<Chronon>* sorted : {&starts_, &ends_}) {
+    auto mid = sorted->begin() + static_cast<std::ptrdiff_t>(old_size);
+    std::sort(mid, sorted->end());
+    std::inplace_merge(sorted->begin(), mid, sorted->end());
+  }
+  RebuildSegments();
+}
 
-  // Piecewise-constant coverage segments [b_k, b_{k+1} - 1]; the total is
-  // the size of the covered-chronon multiset the paper's pseudocode
-  // materializes.
+void CoverageIndex::RebuildSegments() {
+  segments_.clear();
+  total_ = 0;
+  // Coverage rises at every start s and falls just past every end e, at
+  // e + 1. Walking both arrays in chronon order, a start comes first
+  // exactly when s <= e (s < e + 1 without forming e + 1, which overflows
+  // for ends at kChrononMax). Each change point closes the open segment
+  // [cur, change - 1], so the segments are the piecewise-constant coverage
+  // runs; the total is the size of the covered-chronon multiset the
+  // paper's pseudocode materializes.
+  const size_t m = starts_.size();
+  size_t i = 0;  // next start
+  size_t j = 0;  // next end; j <= i, since an end never precedes its start
   int64_t coverage = 0;
-  auto it = deltas.begin();
-  while (it != deltas.end()) {
-    Chronon seg_start = it->first;
-    coverage += it->second;
-    ++it;
-    Chronon seg_end = (it == deltas.end()) ? seg_start : it->first - 1;
-    if (coverage > 0 && seg_end >= seg_start) {
-      Segment seg;
-      seg.start = seg_start;
-      seg.end = seg_end;
-      seg.coverage = coverage;
-      seg.cum_before = total_;
-      segments_.push_back(seg);
-      unsigned __int128 len =
-          static_cast<unsigned __int128>(seg_end - seg_start) + 1;
-      total_ += len * static_cast<unsigned __int128>(coverage);
+  Chronon cur = 0;  // first chronon of the open segment
+  while (i < m || (j < m && ends_[j] != kChrononMax)) {
+    if (i < m && starts_[i] <= ends_[j]) {
+      const Chronon s = starts_[i++];
+      if (coverage > 0 && s > cur) AddSegment(cur, s - 1, coverage);
+      ++coverage;
+      cur = s;
+    } else {
+      const Chronon e = ends_[j++];
+      if (e >= cur) AddSegment(cur, e, coverage);
+      --coverage;
+      cur = e + 1;
     }
   }
+  // Samples still open here end at kChrononMax. Their run past the last
+  // finite change point weighs as one chronon, so an open-ended sample
+  // does not drag every boundary towards +inf.
+  if (coverage > 0) AddSegment(cur, cur, coverage);
+}
+
+void CoverageIndex::AddSegment(Chronon start, Chronon end, int64_t coverage) {
+  segments_.push_back(Segment{start, end, coverage, total_});
+  // end - start may exceed INT64_MAX; the unsigned difference cannot wrap.
+  const unsigned __int128 len =
+      static_cast<unsigned __int128>(static_cast<uint64_t>(end) -
+                                     static_cast<uint64_t>(start)) +
+      1;
+  total_ += len * static_cast<unsigned __int128>(coverage);
 }
 
 PartitionSpec CoverageIndex::Choose(uint32_t num_partitions) const {
@@ -61,7 +85,8 @@ PartitionSpec CoverageIndex::Choose(uint32_t num_partitions) const {
     unsigned __int128 offset =
         (target - seg.cum_before - 1) /
         static_cast<unsigned __int128>(seg.coverage);
-    Chronon boundary = seg.start + static_cast<Chronon>(offset);
+    Chronon boundary = static_cast<Chronon>(
+        static_cast<uint64_t>(seg.start) + static_cast<uint64_t>(offset));
     if (boundary >= global_max) continue;  // would create an empty tail
     if (!boundaries.empty() && boundary <= boundaries.back()) continue;
     boundaries.push_back(boundary);
@@ -69,6 +94,14 @@ PartitionSpec CoverageIndex::Choose(uint32_t num_partitions) const {
   auto spec = PartitionSpec::FromBoundaries(boundaries);
   TEMPO_CHECK(spec.ok());
   return *std::move(spec);
+}
+
+uint64_t CoverageIndex::CrossingCount(Chronon b) const {
+  const auto started =
+      std::upper_bound(starts_.begin(), starts_.end(), b) - starts_.begin();
+  const auto ended =
+      std::upper_bound(ends_.begin(), ends_.end(), b) - ends_.begin();
+  return static_cast<uint64_t>(started - ended);
 }
 
 PartitionSpec ChooseIntervals(const std::vector<Interval>& samples,

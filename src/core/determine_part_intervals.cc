@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
+#include <span>
 
 #include "core/choose_intervals.h"
 #include "core/estimate_cache.h"
@@ -34,8 +34,9 @@ double CacheComponent(const std::vector<uint64_t>& cache_pages,
   return cost;
 }
 
-/// Shared sweep state: incremental sampling plus a coverage index rebuilt
-/// only when the sample set has grown.
+/// Shared sweep state: incremental sampling plus one coverage index that
+/// grows with the sample set and answers every candidate's boundary and
+/// cache questions, and the final plan's.
 class CandidateSweep {
  public:
   CandidateSweep(StoredRelation* r, const PartitionPlanOptions& options,
@@ -47,7 +48,8 @@ class CandidateSweep {
         tuples_per_page_(static_cast<double>(tuples_) /
                          static_cast<double>(pages_)),
         sampler_(r, rng),
-        scan_cost_(sampler_.ScanCost(options.cost_model.random_weight)) {}
+        scan_cost_(sampler_.ScanCost(options.cost_model.random_weight)),
+        index_(std::span<const Interval>()) {}
 
   /// Candidate partition sizes, ascending (see header notes).
   std::vector<uint32_t> Candidates() const {
@@ -111,21 +113,16 @@ class CandidateSweep {
     return est;
   }
 
-  /// Cost-model view of one candidate. Rebuilds the coverage index only
-  /// when the sample set has grown since the last call.
+  /// Cost-model view of one candidate. Merges the samples drawn for it
+  /// into the coverage index.
   StatusOr<PartitionCostPoint> Evaluate(uint32_t part_size) {
     PartitionCostPoint point;
     point.part_size_pages = part_size;
     TEMPO_ASSIGN_OR_RETURN(point.c_sample, EnsureSamples(part_size));
     point.required_samples = sampler_.num_drawn();
-    if (index_ == nullptr || indexed_samples_ != sampler_.num_drawn()) {
-      index_ = std::make_unique<CoverageIndex>(sampler_.samples());
-      indexed_samples_ = sampler_.num_drawn();
-    }
+    index_.Extend(std::span(sampler_.samples()).subspan(index_.size()));
     uint32_t k = (pages_ + part_size - 1) / part_size;
-    PartitionSpec spec = index_->Choose(k);
-    std::vector<uint64_t> cache = EstimateCacheSizes(
-        sampler_.samples(), tuples_, tuples_per_page_, spec);
+    std::vector<uint64_t> cache = CachePages(index_.Choose(k));
     // The paper's formula uses the *nominal* partition count
     // numPartitions = |r| / partSize (Appendix A.2), not the possibly
     // collapsed count of the sample-derived spec: early candidates are
@@ -138,12 +135,30 @@ class CandidateSweep {
     return point;
   }
 
-  RelationSampler& sampler() { return sampler_; }
-  double tuples_per_page() const { return tuples_per_page_; }
+  /// The plan for `num_partitions` sample-equi-depth partitions over every
+  /// sample drawn so far (a free refinement: each has been paid for), with
+  /// the estimates of the candidate `point` that chose it.
+  PartitionPlan Plan(uint32_t num_partitions,
+                     const PartitionCostPoint& point) const {
+    PartitionPlan plan;
+    plan.spec = index_.Choose(num_partitions);
+    plan.num_partitions = static_cast<uint32_t>(plan.spec.num_partitions());
+    plan.part_size_pages = point.part_size_pages;
+    plan.samples_drawn = sampler_.num_drawn();
+    plan.sampled_by_scan = sampler_.scanned();
+    plan.est_sample_cost = point.c_sample;
+    plan.est_join_cost = point.c_partition + point.c_cache;
+    plan.est_cache_pages = CachePages(plan.spec);
+    return plan;
+  }
+
   uint32_t pages() const { return pages_; }
-  uint64_t tuples() const { return tuples_; }
 
  private:
+  std::vector<uint64_t> CachePages(const PartitionSpec& spec) const {
+    return EstimateCacheSizes(index_, tuples_, tuples_per_page_, spec);
+  }
+
   const PartitionPlanOptions& options_;
   ExecContext* ctx_;
   const uint32_t pages_;
@@ -151,8 +166,7 @@ class CandidateSweep {
   const double tuples_per_page_;
   RelationSampler sampler_;
   const double scan_cost_;
-  std::unique_ptr<CoverageIndex> index_;
-  uint64_t indexed_samples_ = 0;
+  CoverageIndex index_;  // every sample drawn so far (draws only in Evaluate)
 };
 
 /// True when the relation needs no partitioning under these options.
@@ -195,18 +209,7 @@ StatusOr<PartitionPlan> DeterminePartIntervals(
     uint32_t k = options.forced_num_partitions;
     uint32_t part_size = (sweep.pages() + k - 1) / k;
     TEMPO_ASSIGN_OR_RETURN(PartitionCostPoint point, sweep.Evaluate(part_size));
-    PartitionPlan plan;
-    plan.spec = ChooseIntervals(sweep.sampler().samples(), k);
-    plan.num_partitions = static_cast<uint32_t>(plan.spec.num_partitions());
-    plan.part_size_pages = part_size;
-    plan.samples_drawn = sweep.sampler().num_drawn();
-    plan.sampled_by_scan = sweep.sampler().scanned();
-    plan.est_sample_cost = point.c_sample;
-    plan.est_join_cost = point.c_partition + point.c_cache;
-    plan.est_cache_pages =
-        EstimateCacheSizes(sweep.sampler().samples(), sweep.tuples(),
-                           sweep.tuples_per_page(), plan.spec);
-    return plan;
+    return sweep.Plan(k, point);
   }
 
   double best_cost = std::numeric_limits<double>::infinity();
@@ -221,22 +224,8 @@ StatusOr<PartitionPlan> DeterminePartIntervals(
     }
   }
 
-  // Rebuild the winning spec from the full sample set (a free refinement:
-  // every sample has been paid for by now).
-  uint32_t k = (sweep.pages() + best.part_size_pages - 1) /
-               best.part_size_pages;
-  PartitionPlan plan;
-  plan.spec = ChooseIntervals(sweep.sampler().samples(), k);
-  plan.num_partitions = static_cast<uint32_t>(plan.spec.num_partitions());
-  plan.part_size_pages = best.part_size_pages;
-  plan.samples_drawn = sweep.sampler().num_drawn();
-  plan.sampled_by_scan = sweep.sampler().scanned();
-  plan.est_sample_cost = best.c_sample;
-  plan.est_join_cost = best.c_partition + best.c_cache;
-  plan.est_cache_pages =
-      EstimateCacheSizes(sweep.sampler().samples(), sweep.tuples(),
-                         sweep.tuples_per_page(), plan.spec);
-  return plan;
+  // Re-choose the winning spec from the full sample set.
+  return sweep.Plan(best.num_partitions, best);
 }
 
 StatusOr<std::vector<PartitionCostPoint>> PartitionCostCurve(

@@ -69,7 +69,8 @@ struct PartitionPlan {
 /// only partition sizes that change ceil(pages/partSize) are examined (the
 /// cost is constant between them), partition counts are capped so Grace
 /// partitioning keeps >= 1 output buffer page per partition, and the final
-/// spec is rebuilt from the full sample set.
+/// spec is re-chosen from the full sample set. One incremental
+/// CoverageIndex serves every candidate and the final plan.
 ///
 /// A relation that fits in the partition area yields the trivial
 /// single-partition plan with no sampling.

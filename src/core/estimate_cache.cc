@@ -6,40 +6,32 @@
 
 namespace tempo {
 
-std::vector<uint64_t> EstimateCacheSizes(const std::vector<Interval>& samples,
+std::vector<uint64_t> EstimateCacheSizes(const CoverageIndex& index,
                                          uint64_t relation_tuples,
                                          double tuples_per_page,
                                          const PartitionSpec& spec) {
   TEMPO_CHECK(tuples_per_page > 0);
   const size_t n = spec.num_partitions();
-  std::vector<uint64_t> counts(n, 0);
-  if (samples.empty() || n <= 1) {
-    return std::vector<uint64_t>(n, 0);
-  }
-  // Count, per partition, the samples that overlap it without being stored
-  // in it (i.e. every overlapped partition except the last). A difference
-  // array keeps this O(1) per sample.
-  std::vector<int64_t> diff(n + 1, 0);
-  for (const Interval& iv : samples) {
-    size_t first = spec.FirstOverlapping(iv);
-    size_t last = spec.LastOverlapping(iv);
-    if (first < last) {
-      diff[first] += 1;
-      diff[last] -= 1;  // partitions [first, last-1]
-    }
-  }
-  double scale =
-      static_cast<double>(relation_tuples) / static_cast<double>(samples.size());
   std::vector<uint64_t> pages(n, 0);
-  int64_t running = 0;
-  for (size_t p = 0; p < n; ++p) {
-    running += diff[p];
-    TEMPO_DCHECK(running >= 0);
-    double est_tuples = static_cast<double>(running) * scale;
+  if (index.size() == 0 || n <= 1) return pages;
+  double scale =
+      static_cast<double>(relation_tuples) / static_cast<double>(index.size());
+  // Nothing is cached for the last partition: no boundary follows it.
+  for (size_t p = 0; p + 1 < n; ++p) {
+    uint64_t cached = index.CrossingCount(spec.partition(p).end());
+    double est_tuples = static_cast<double>(cached) * scale;
     pages[p] =
         static_cast<uint64_t>(std::ceil(est_tuples / tuples_per_page));
   }
   return pages;
+}
+
+std::vector<uint64_t> EstimateCacheSizes(const std::vector<Interval>& samples,
+                                         uint64_t relation_tuples,
+                                         double tuples_per_page,
+                                         const PartitionSpec& spec) {
+  return EstimateCacheSizes(CoverageIndex(samples), relation_tuples,
+                            tuples_per_page, spec);
 }
 
 }  // namespace tempo

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/choose_intervals.h"
 #include "core/partition_spec.h"
 #include "temporal/interval.h"
 
@@ -34,6 +35,17 @@ namespace tempo {
 /// cache written *while joining* partition i+1 and read while joining
 /// partition i... in short: result[i] = estimated pages of tuples cached
 /// *for* partition i).
+///
+/// A sample overlaps partition i without being stored in it exactly when it
+/// crosses the boundary after partition i, so the count for partition i is
+/// index.CrossingCount(partition(i).end()): O(k log m) for k partitions
+/// and m samples.
+std::vector<uint64_t> EstimateCacheSizes(const CoverageIndex& index,
+                                         uint64_t relation_tuples,
+                                         double tuples_per_page,
+                                         const PartitionSpec& spec);
+
+/// Same as EstimateCacheSizes(CoverageIndex(samples), ...).
 std::vector<uint64_t> EstimateCacheSizes(const std::vector<Interval>& samples,
                                          uint64_t relation_tuples,
                                          double tuples_per_page,

@@ -8,7 +8,7 @@ StatusOr<size_t> ColumnExtractor::AddPage(const Page& page) {
   const RecordLayout& layout = schema_->layout();
   const size_t before = views_.size();
   const size_t after = before + pinned.num_records();
-  views_.reserve(after);
+  GrowCapacity(&views_, after);
   cols_.Reserve(after);
   for (uint16_t slot = 0; slot < pinned.num_records(); ++slot) {
     std::string_view rec = pinned.GetRecord(slot);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/statusor.h"
+#include "common/vector_growth.h"
 #include "relation/schema.h"
 #include "relation/tuple_view.h"
 #include "storage/page.h"
@@ -31,11 +32,12 @@ struct JoinColumns {
 
   size_t num_rows() const { return rows.size(); }
 
+  /// Capacity for `n` rows, grown geometrically (see GrowCapacity).
   void Reserve(size_t n) {
-    key_hashes.reserve(n);
-    starts.reserve(n);
-    ends.reserve(n);
-    rows.reserve(n);
+    GrowCapacity(&key_hashes, n);
+    GrowCapacity(&starts, n);
+    GrowCapacity(&ends, n);
+    GrowCapacity(&rows, n);
   }
 
   void Resize(size_t n) {

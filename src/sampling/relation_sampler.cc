@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "relation/tuple_view.h"
+
 namespace tempo {
 
 RelationSampler::RelationSampler(StoredRelation* relation, Random* rng)
@@ -33,12 +35,20 @@ Status RelationSampler::SwitchToScan() {
   if (scanned_) return Status::OK();
   all_intervals_.clear();
   all_intervals_.reserve(population_);
-  auto scan = relation_->Scan();
-  Tuple t;
-  while (true) {
-    TEMPO_ASSIGN_OR_RETURN(bool more, scan.Next(&t));
-    if (!more) break;
-    all_intervals_.push_back(t.interval());
+  // The page reads of a full Scanner pass (same pages, same order, same
+  // charges), but only each record's interval is decoded: a TupleView
+  // validates the record like Tuple::Deserialize without materializing
+  // its attribute values.
+  const RecordLayout& layout = relation_->schema().layout();
+  Page page;
+  for (uint32_t page_no = 0; page_no < relation_->num_pages(); ++page_no) {
+    TEMPO_RETURN_IF_ERROR(relation_->ReadPage(page_no, &page));
+    for (uint16_t slot = 0; slot < page.num_records(); ++slot) {
+      std::string_view rec = page.GetRecord(slot);
+      TEMPO_ASSIGN_OR_RETURN(TupleView view,
+                             TupleView::Make(layout, rec.data(), rec.size()));
+      all_intervals_.push_back(view.interval());
+    }
   }
   TEMPO_CHECK(all_intervals_.size() == population_);
   scanned_ = true;

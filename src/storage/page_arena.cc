@@ -1,5 +1,7 @@
 #include "storage/page_arena.h"
 
+#include "common/vector_growth.h"
+
 namespace tempo {
 
 StatusOr<size_t> PageTupleArena::AddPage(const Schema& schema,
@@ -8,7 +10,7 @@ StatusOr<size_t> PageTupleArena::AddPage(const Schema& schema,
   const Page& pinned = pages_.back();
   const RecordLayout& layout = schema.layout();
   const size_t before = views_.size();
-  views_.reserve(before + pinned.num_records());
+  GrowCapacity(&views_, before + pinned.num_records());
   for (uint16_t slot = 0; slot < pinned.num_records(); ++slot) {
     std::string_view rec = pinned.GetRecord(slot);
     auto view = TupleView::Make(layout, rec.data(), rec.size());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/vector_growth.h"
+
 namespace tempo {
 
 StoredRelation::StoredRelation(Disk* disk, Schema schema, std::string name)
@@ -89,7 +91,7 @@ StatusOr<size_t> StoredRelation::DecodePageAppend(const Schema& schema,
                                                   const Page& page,
                                                   std::vector<Tuple>* arena) {
   const size_t before = arena->size();
-  arena->reserve(before + page.num_records());
+  GrowCapacity(arena, before + page.num_records());
   TEMPO_RETURN_IF_ERROR(DecodePage(schema, page, arena));
   return arena->size() - before;
 }
@@ -149,7 +151,7 @@ StatusOr<bool> StoredRelation::Scanner::Next(Tuple* out) {
       page_loaded_ = true;
     }
     if (slot_ < current_.size()) {
-      *out = current_[slot_++];
+      *out = std::move(current_[slot_++]);
       return true;
     }
     ++page_no_;

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "core/partition_spec.h"
 #include "core/tuple_cache.h"
 #include "join/reference_join.h"
+#include "sampling/relation_sampler.h"
 #include "test_util.h"
 
 namespace tempo {
@@ -228,6 +231,201 @@ TEST(EstimateCacheTest, EmptySamples) {
 }
 
 // ---------------------------------------------------------------------
+// CoverageIndex: incremental growth vs. from-scratch references
+// ---------------------------------------------------------------------
+
+// Oracle for endpoints the materialized multiset cannot hold (kChrononMin,
+// kChrononMax): the endpoint-delta map construction, rebuilt from scratch.
+// Coverage runs between consecutive change points; a run still open after
+// the last finite change point (samples ending at kChrononMax) weighs one
+// chronon.
+std::vector<Chronon> EndpointDeltaBoundaries(
+    const std::vector<Interval>& samples, uint32_t n) {
+  std::map<Chronon, int64_t> deltas;
+  for (const Interval& iv : samples) {
+    deltas[iv.start()] += 1;
+    if (iv.end() != kChrononMax) deltas[iv.end() + 1] -= 1;
+  }
+  struct Run {
+    Chronon start;
+    Chronon end;
+    int64_t coverage;
+    unsigned __int128 before;
+  };
+  std::vector<Run> runs;
+  unsigned __int128 total = 0;
+  int64_t coverage = 0;
+  for (auto it = deltas.begin(); it != deltas.end();) {
+    const Chronon start = it->first;
+    coverage += it->second;
+    ++it;
+    const Chronon end = it == deltas.end() ? start : it->first - 1;
+    if (coverage <= 0) continue;
+    runs.push_back({start, end, coverage, total});
+    total += (static_cast<unsigned __int128>(static_cast<uint64_t>(end) -
+                                             static_cast<uint64_t>(start)) +
+              1) *
+             static_cast<unsigned __int128>(coverage);
+  }
+  std::vector<Chronon> bounds;
+  if (runs.empty()) return bounds;
+  for (uint32_t q = 1; q < n; ++q) {
+    unsigned __int128 target = (total * q + n - 1) / n;  // ceil, 1-based
+    if (target == 0) target = 1;
+    size_t r = 0;
+    while (r + 1 < runs.size() && runs[r + 1].before < target) ++r;
+    const unsigned __int128 offset =
+        (target - runs[r].before - 1) /
+        static_cast<unsigned __int128>(runs[r].coverage);
+    const Chronon b = static_cast<Chronon>(
+        static_cast<uint64_t>(runs[r].start) + static_cast<uint64_t>(offset));
+    if (b >= runs.back().end) continue;
+    if (!bounds.empty() && b <= bounds.back()) continue;
+    bounds.push_back(b);
+  }
+  return bounds;
+}
+
+// Oracle: estimateCacheSizes as a difference array over each sample's
+// [first, last) overlapping partitions — O(samples · log k).
+std::vector<uint64_t> DifferenceArrayCacheSizes(
+    const std::vector<Interval>& samples, uint64_t relation_tuples,
+    double tuples_per_page, const PartitionSpec& spec) {
+  const size_t n = spec.num_partitions();
+  if (samples.empty() || n <= 1) return std::vector<uint64_t>(n, 0);
+  std::vector<int64_t> diff(n + 1, 0);
+  for (const Interval& iv : samples) {
+    size_t first = spec.FirstOverlapping(iv);
+    size_t last = spec.LastOverlapping(iv);
+    if (first < last) {
+      diff[first] += 1;
+      diff[last] -= 1;
+    }
+  }
+  double scale = static_cast<double>(relation_tuples) /
+                 static_cast<double>(samples.size());
+  std::vector<uint64_t> pages(n, 0);
+  int64_t running = 0;
+  for (size_t p = 0; p < n; ++p) {
+    running += diff[p];
+    pages[p] = static_cast<uint64_t>(
+        std::ceil(static_cast<double>(running) * scale / tuples_per_page));
+  }
+  return pages;
+}
+
+std::vector<Chronon> Boundaries(const PartitionSpec& spec) {
+  std::vector<Chronon> out;
+  for (size_t i = 0; i + 1 < spec.num_partitions(); ++i) {
+    out.push_back(spec.partition(i).end());
+  }
+  return out;
+}
+
+// One random sample for the growth test: duplicates of earlier samples,
+// points, short and heavily overlapping long intervals, and — with
+// `extremes` — intervals reaching kChrononMin or kChrononMax.
+Interval GrowthSample(Random& rng, const std::vector<Interval>& so_far,
+                      bool extremes) {
+  const Chronon s = rng.UniformRange(0, 60);
+  switch (rng.Uniform(extremes ? 6 : 4)) {
+    case 0:
+      if (!so_far.empty()) return so_far[rng.Uniform(so_far.size())];
+      return Interval::At(s);
+    case 1:
+      return Interval::At(s);
+    case 2:
+      return Interval(s, s + rng.UniformRange(20, 60));
+    case 3:
+      return Interval(s, s + rng.UniformRange(0, 5));
+    case 4:
+      return rng.Bernoulli(0.2) ? Interval::At(kChrononMin)
+                                : Interval(kChrononMin, s);
+    default:
+      switch (rng.Uniform(3)) {
+        case 0:
+          return Interval::At(kChrononMax);
+        case 1:
+          return Interval(kChrononMin, kChrononMax);
+        default:
+          return Interval(s, kChrononMax);
+      }
+  }
+}
+
+// A spec whose boundaries sit on (and just before) sample endpoints, so
+// cache counting meets start == b and end == b exactly.
+PartitionSpec EndpointSpec(Random& rng, const std::vector<Interval>& samples) {
+  std::vector<Chronon> bounds;
+  for (int i = 0; i < 6; ++i) {
+    const Interval& iv = samples[rng.Uniform(samples.size())];
+    for (Chronon b : {iv.start(), iv.end()}) {
+      if (b != kChrononMax) bounds.push_back(b);
+      if (b != kChrononMin) bounds.push_back(b - 1);
+    }
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  auto spec = PartitionSpec::FromBoundaries(bounds);
+  TEMPO_CHECK(spec.ok());
+  return *std::move(spec);
+}
+
+class CoverageIndexGrowthTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Samples only ever grow by appending, as the optimizer draws them; after
+// every batch the incrementally merged index must answer exactly as the
+// from-scratch references over the same samples.
+TEST_P(CoverageIndexGrowthTest, IncrementalMatchesFromScratch) {
+  Random rng(GetParam());
+  const bool extremes = GetParam() % 2 == 1;
+  CoverageIndex index{std::span<const Interval>()};
+  std::vector<Interval> samples;
+  for (int batch = 0; batch < 8; ++batch) {
+    const uint64_t size = 1 + rng.Uniform(rng.Bernoulli(0.3) ? 60 : 8);
+    for (uint64_t i = 0; i < size; ++i) {
+      samples.push_back(GrowthSample(rng, samples, extremes));
+    }
+    index.Extend(std::span(samples).subspan(index.size()));
+    ASSERT_EQ(index.size(), samples.size());
+
+    for (uint32_t k : {2u, 3u, 5u, 8u, 16u, 33u}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << GetParam() << " batch "
+                                        << batch << " k " << k);
+      PartitionSpec spec = index.Choose(k);
+      EXPECT_EQ(Boundaries(spec), EndpointDeltaBoundaries(samples, k));
+      if (!extremes) {
+        EXPECT_EQ(Boundaries(spec), MaterializedBoundaries(samples, k));
+      }
+      EXPECT_EQ(spec, ChooseIntervals(samples, k));
+      EXPECT_EQ(EstimateCacheSizes(index, 1000, 7.0, spec),
+                DifferenceArrayCacheSizes(samples, 1000, 7.0, spec));
+    }
+    PartitionSpec edges = EndpointSpec(rng, samples);
+    EXPECT_EQ(EstimateCacheSizes(index, 1000, 7.0, edges),
+              DifferenceArrayCacheSizes(samples, 1000, 7.0, edges))
+        << "seed " << GetParam() << " batch " << batch << " spec "
+        << edges.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoverageIndexGrowthTest,
+                         ::testing::Range<uint64_t>(0, 40));
+
+TEST(CoverageIndexTest, CrossingCountCountsSamplesSplitAfterB) {
+  std::vector<Interval> samples{Interval(0, 10), Interval(5, 5),
+                                Interval(5, 6), Interval(kChrononMin, 5),
+                                Interval(6, kChrononMax)};
+  CoverageIndex index(samples);
+  EXPECT_EQ(index.CrossingCount(-1), 1u);  // [min,5]
+  EXPECT_EQ(index.CrossingCount(4), 2u);
+  EXPECT_EQ(index.CrossingCount(5), 2u);   // [0,10], [5,6]
+  EXPECT_EQ(index.CrossingCount(6), 2u);   // [0,10], [6,max]
+  EXPECT_EQ(index.CrossingCount(10), 1u);  // [6,max]
+  EXPECT_EQ(index.CrossingCount(kChrononMax), 0u);
+}
+
+// ---------------------------------------------------------------------
 // DeterminePartIntervals
 // ---------------------------------------------------------------------
 
@@ -326,6 +524,90 @@ TEST_F(DeterminePlanTest, InScanCapsActualSamplingCost) {
   double scan = options.cost_model.random_weight + (rel->num_pages() - 1);
   EXPECT_LE(cost, 2.1 * scan);
 }
+
+// The optimizer grows one CoverageIndex across its candidates. Every cost
+// point and every plan field must equal a from-scratch rebuild over the
+// same samples: ChooseIntervals on the sample prefix each candidate saw
+// and the difference-array cache estimate.
+class PlanFromScratchTest : public ::testing::TestWithParam<uint64_t> {};
+
+double ReferenceCacheCost(const std::vector<uint64_t>& pages,
+                          const CostModel& model) {
+  double cost = 0.0;
+  for (uint64_t m : pages) {
+    if (m == 0) continue;
+    cost += 2.0 * (model.random_weight +
+                   static_cast<double>(m - 1) * model.sequential_weight);
+  }
+  return cost;
+}
+
+TEST_P(PlanFromScratchTest, IncrementalIndexMatchesRebuild) {
+  const uint64_t seed = GetParam();
+  Disk disk;
+  Random data_rng(seed);
+  const double long_lived = 0.05 * static_cast<double>(seed % 5);
+  auto rel = MakeRelation(&disk, TestSchema(),
+                          RandomTuples(data_rng, 2000, 100, 5000, long_lived),
+                          "r");
+  const uint32_t pages = rel->num_pages();
+  const uint64_t tuples = rel->num_tuples();
+  const double tuples_per_page =
+      static_cast<double>(tuples) / static_cast<double>(pages);
+  for (uint32_t buffer : {pages / 8 + 4, pages / 4 + 3, pages / 2 + 2}) {
+    for (bool in_scan : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " buffer "
+                                        << buffer << " in_scan " << in_scan);
+      PartitionPlanOptions options;
+      options.buffer_pages = buffer;
+      options.in_scan_sampling = in_scan;
+      Random plan_rng(seed + 1000);
+      Random curve_rng(seed + 1000);
+      Random sample_rng(seed + 1000);
+      TEMPO_ASSERT_OK_AND_ASSIGN(
+          PartitionPlan plan,
+          DeterminePartIntervals(rel.get(), options, &plan_rng));
+      TEMPO_ASSERT_OK_AND_ASSIGN(
+          std::vector<PartitionCostPoint> curve,
+          PartitionCostCurve(rel.get(), options, &curve_rng));
+      ASSERT_FALSE(curve.empty());
+
+      // The same seed draws the same samples in the same order; a scan
+      // makes every one of them available at once.
+      RelationSampler sampler(rel.get(), &sample_rng);
+      TEMPO_ASSERT_OK(sampler.SwitchToScan());
+      TEMPO_ASSERT_OK(sampler.DrawRandom(plan.samples_drawn).status());
+      const std::vector<Interval>& samples = sampler.samples();
+
+      const PartitionCostPoint* best = nullptr;
+      for (const PartitionCostPoint& point : curve) {
+        std::vector<Interval> prefix(
+            samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(
+                                                   point.required_samples));
+        PartitionSpec spec = ChooseIntervals(prefix, point.num_partitions);
+        EXPECT_EQ(point.c_cache,
+                  ReferenceCacheCost(
+                      DifferenceArrayCacheSizes(prefix, tuples,
+                                                tuples_per_page, spec),
+                      options.cost_model))
+            << "part size " << point.part_size_pages;
+        if (best == nullptr || point.total() <= best->total()) best = &point;
+      }
+      EXPECT_EQ(plan.samples_drawn, curve.back().required_samples);
+      EXPECT_EQ(plan.part_size_pages, best->part_size_pages);
+      EXPECT_EQ(plan.spec, ChooseIntervals(samples, best->num_partitions));
+      EXPECT_EQ(plan.num_partitions, plan.spec.num_partitions());
+      EXPECT_EQ(plan.est_sample_cost, best->c_sample);
+      EXPECT_EQ(plan.est_join_cost, best->c_partition + best->c_cache);
+      EXPECT_EQ(plan.est_cache_pages,
+                DifferenceArrayCacheSizes(samples, tuples, tuples_per_page,
+                                          plan.spec));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlanFromScratchTest,
+                         ::testing::Range<uint64_t>(0, 40));
 
 // ---------------------------------------------------------------------
 // GracePartition

@@ -210,6 +210,39 @@ TEST(PageTupleArenaTest, ViewsStableAcrossGrowth) {
   EXPECT_EQ(arena.num_pages(), 0u);
 }
 
+// Arenas that pin many pages (external-sort chunks, probe batches) must
+// grow views() geometrically: one reallocation per page would copy every
+// earlier view on every page.
+TEST(PageTupleArenaTest, ManyPagesReallocateLogarithmically) {
+  Schema schema = TestSchema();
+  Page page;
+  for (int64_t i = 0; i < 8; ++i) {
+    std::string rec = SerializeOne(schema, T(i, "x", i, i + 1));
+    ASSERT_TRUE(page.AddRecord(rec).has_value());
+  }
+  constexpr int kPages = 2048;
+  PageTupleArena arena;
+  std::vector<Tuple> owning;
+  int arena_moves = 0;
+  int owning_moves = 0;
+  const TupleView* arena_data = nullptr;
+  const Tuple* owning_data = nullptr;
+  for (int p = 0; p < kPages; ++p) {
+    TEMPO_ASSERT_OK(arena.AddPage(schema, page).status());
+    TEMPO_ASSERT_OK(
+        StoredRelation::DecodePageAppend(schema, page, &owning).status());
+    if (arena.views().data() != arena_data) ++arena_moves;
+    if (owning.data() != owning_data) ++owning_moves;
+    arena_data = arena.views().data();
+    owning_data = owning.data();
+  }
+  ASSERT_EQ(arena.views().size(), static_cast<size_t>(8 * kPages));
+  ASSERT_EQ(owning.size(), static_cast<size_t>(8 * kPages));
+  // Doubling from one page's worth: log2(2048) + 1 = 12 allocations.
+  EXPECT_LE(arena_moves, 12);
+  EXPECT_LE(owning_moves, 12);
+}
+
 TEST(PageTupleArenaTest, DecodePageViewsMatchesDecodePage) {
   Schema schema = TestSchema();
   Disk disk;
